@@ -20,16 +20,17 @@ from .core import (
     Block,
     LabeledGraph,
     format_block,
+    graph_stepper,
     is_admissible,
     is_irreducible,
     iter_admissible_blocks,
     trim_to_essential,
+    walk,
 )
 from .covers import (
     HOLDS,
     fischer_cover,
     is_half_synchronizing,
-    languages_equal,
     _subset_automaton,
 )
 from .codes import (
@@ -72,14 +73,11 @@ class PairAutomaton:
         self.states = tuple(
             (p, q) for p in graph.vertices for q in graph.vertices
         )
-        out = {}
-        for src, dst, a in graph.edges:
-            out.setdefault(src, []).append((a, dst))
         trans = {}
         for p, q in self.states:
             moves = []
-            for a1, r in out.get(p, ()):
-                for a2, s in out.get(q, ()):
+            for a1, r in graph.out_edges(p):
+                for a2, s in graph.out_edges(q):
                     if phi[a1] == phi[a2]:
                         moves.append((phi[a1], a1, a2, (r, s)))
             trans[(p, q)] = tuple(moves)
@@ -205,13 +203,6 @@ def _phi(f1: FactorMap) -> dict:
     return {w[0]: out for w, out in f1.code.window_map.items()}
 
 
-def _out_edges_map(g: LabeledGraph) -> dict:
-    out = {v: [] for v in g.vertices}
-    for src, dst, a in g.edges:
-        out[src].append((a, dst))
-    return out
-
-
 def _image_out(g: LabeledGraph, phi: dict) -> dict:
     """(vertex, image symbol) -> list of (domain symbol, target)."""
     table = {}
@@ -226,9 +217,7 @@ def _require_irreducible(g: LabeledGraph, what: str):
 
 
 def _certified_surjective(f: FactorMap):
-    if f.surjective is None:
-        certify_surjectivity(f)
-    if not f.surjective:
+    if not certify_surjectivity(f):
         raise NotSurjectiveError("the map is not onto its codomain")
 
 
@@ -387,15 +376,6 @@ def _closing_witness(pa, chain, divs, delay_bound):
     return None
 
 
-def _ends_of_image_word(g, image_out, w):
-    ends = set(g.vertices)
-    for b in w:
-        ends = {dst for src in ends for _, dst in image_out.get((src, b), ())}
-        if not ends:
-            return ends
-    return ends
-
-
 def find_decoder_block(
     f: FactorMap, max_len: int = 8, max_anticipation: int = 4
 ) -> Optional[DecoderCertificate]:
@@ -412,13 +392,13 @@ def find_decoder_block(
     _certified_surjective(f)
     g = f1.domain
     phi = _phi(f1)
-    image_out = _image_out(g, phi)
     pa = PairAutomaton(g, phi)
     chain = pa.survival_chain()
+    img = graph_stepper(image_presentation(f1))
     for length in range(1, max_len + 1):
         for w in iter_admissible_blocks(f.codomain, length):
-            ends = _ends_of_image_word(g, image_out, w)
-            if not ends:
+            ends = walk(img, w)
+            if ends is None:
                 continue
             reach = {(p, q) for p in ends for q in ends}
             queue = deque(reach)
@@ -456,16 +436,14 @@ def verify_decoder_block(f: FactorMap, w: Block, k: int, horizon: int = 10) -> b
         )
     g = f1.domain
     phi = _phi(f1)
-    out = _out_edges_map(g)
-    image_out = _image_out(g, phi)
-    ends = _ends_of_image_word(g, image_out, w)
+    ends = walk(graph_stepper(image_presentation(f1)), w) or ()
     for n in range(1, horizon + 1):
         layer = {(p, q, False) for p in ends for q in ends}
         for step in range(1, n + k + 1):
             nxt = set()
             for p, q, diverged in layer:
-                for a1, r in out[p]:
-                    for a2, s in out[q]:
+                for a1, r in g.out_edges(p):
+                    for a2, s in g.out_edges(q):
                         if phi[a1] != phi[a2]:
                             continue
                         nxt.add((r, s, diverged or (step <= n and a1 != a2)))
@@ -475,30 +453,16 @@ def verify_decoder_block(f: FactorMap, w: Block, k: int, horizon: int = 10) -> b
     return True
 
 
-def _limit_sets(vertices, image_out, symbols):
-    """Subset-automaton states reachable from the full vertex set by
-    arbitrarily long image words: exactly the states reachable from a
-    cycle.  These are the possible constraint sets an infinite image
-    past (or future, on the reversed graph) leaves behind."""
-    start = frozenset(vertices)
-    nodes = [start]
-    seen = {start}
-    succ = {}
-    i = 0
-    while i < len(nodes):
-        s = nodes[i]
-        i += 1
-        targets = set()
-        for b in symbols:
-            t = frozenset(
-                dst for v in s for _, dst in image_out.get((v, b), ())
-            )
-            if t:
-                targets.add(t)
-                if t not in seen:
-                    seen.add(t)
-                    nodes.append(t)
-        succ[s] = targets
+def _limit_sets(img):
+    """Subset-automaton states of the image presentation reachable from
+    the full vertex set by arbitrarily long image words: exactly the
+    states reachable from a cycle.  These are the possible constraint
+    sets an infinite image past (or future, on the reversed graph)
+    leaves behind."""
+    nodes, trans = _subset_automaton(img)
+    succ = {s: set() for s in nodes}
+    for (s, _), t in trans.items():
+        succ[s].add(t)
     # nodes lying on a cycle: reachable from themselves in >= 1 step
     on_cycle = set()
     for s in nodes:
@@ -643,13 +607,10 @@ def find_hyperbolic_certificate(
     g = f1.domain
     phi = _phi(f1)
     image_out = _image_out(g, phi)
-    rev_out = {}
-    for (src, b), moves in image_out.items():
-        for a, dst in moves:
-            rev_out.setdefault((dst, b), []).append((a, src))
-    symbols = sorted({b for (_, b) in image_out}, key=str)
-    fset = sorted(_limit_sets(g.vertices, image_out, symbols), key=sorted)
-    pset = sorted(_limit_sets(g.vertices, rev_out, symbols), key=sorted)
+    img = image_presentation(f1)
+    rev = LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges])
+    fset = sorted(_limit_sets(img), key=sorted)
+    pset = sorted(_limit_sets(rev), key=sorted)
     for length in range(1, word_bound + 1, 2):
         n = (length - 1) // 2
         for w in iter_admissible_blocks(f.codomain, length):
@@ -680,14 +641,6 @@ def find_hyperbolic_certificate(
                         w, n, len(blocks), blocks, k, horizon
                     )
     return None
-
-
-def _same_graph(g: LabeledGraph, h: LabeledGraph) -> bool:
-    return (
-        g.alphabet.symbols == h.alphabet.symbols
-        and g.vertices == h.vertices
-        and g.edges == h.edges
-    )
 
 
 def _strong_components(g: LabeledGraph):
@@ -764,7 +717,7 @@ def fiber_product(f1: FactorMap, f2: FactorMap) -> FiberProduct:
     """Pairs of domain edges with equal images, labeled by symbol
     pairs; the two evident projections; and the irreducible components
     flagged by whether both projection restrictions stay onto."""
-    if not _same_graph(f1.codomain, f2.codomain):
+    if f1.codomain != f2.codomain:
         raise CodomainMismatchError("the maps must share a codomain presentation")
     a = _one_block(f1)
     b = _one_block(f2)
@@ -801,8 +754,7 @@ def fiber_product(f1: FactorMap, f2: FactorMap) -> FiberProduct:
     for comp in _strong_components(sigma):
         r1 = _projection_map(comp, pair_of, 0, g1)
         r2 = _projection_map(comp, pair_of, 1, g2)
-        onto1 = languages_equal(trim_to_essential(image_presentation(r1)), g1)
-        onto2 = languages_equal(trim_to_essential(image_presentation(r2)), g2)
+        onto1, onto2 = certify_surjectivity(r1), certify_surjectivity(r2)
         components.append(FiberComponent(comp, onto1, onto2))
     return FiberProduct(sigma, (proj1, proj2), tuple(components))
 
@@ -942,11 +894,11 @@ def check_theorem_3_4(
     """One transitivity instance of the common-extension relation:
     fiber the two maps onto the shared middle system, pick a both-onto
     component, and certify hyperbolicity of the two composed maps."""
-    if not _same_graph(f_yv.codomain, f_yw.codomain):
+    if f_yv.codomain != f_yw.codomain:
         raise CodomainMismatchError("the middle codomains must coincide")
-    if not _same_graph(f_xv.domain, f_yv.domain):
+    if f_xv.domain != f_yv.domain:
         raise ValueError("the left pair must share a domain presentation")
-    if not _same_graph(f_zw.domain, f_yw.domain):
+    if f_zw.domain != f_yw.domain:
         raise ValueError("the right pair must share a domain presentation")
     for name, fm in (
         ("f-xv", f_xv),

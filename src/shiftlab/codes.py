@@ -7,17 +7,15 @@ window map is stored extensionally (domains are finite at desk scale),
 which makes composition and recoding mechanical.
 """
 
-import math
-
 from .core import (
     Alphabet,
     Block,
     LabeledGraph,
     Point,
     blocks_of_length,
+    first_divergence,
     format_block,
-    is_admissible,
-    is_irreducible,
+    graph_stepper,
     parse_block,
     point_window,
     require_essential,
@@ -180,24 +178,29 @@ def higher_block(g: LabeledGraph, n_blocks: int):
     return graph, code
 
 
+def _image_graph(code: BlockCode, domain: LabeledGraph, alphabet: Alphabet) -> LabeledGraph:
+    """The higher-block presentation of an essential domain at the
+    code's width, relabeled by the window map into `alphabet`: it
+    presents exactly the image shift, and edges that become identical
+    collapse into one.  Higher-block symbols are the formatted windows."""
+    hg, _ = higher_block(domain, code.width)
+    image = {format_block(w): out for w, out in code.window_map.items()}
+    edges = {(src, dst, image[lab]) for src, dst, lab in hg.edges}
+    return LabeledGraph(alphabet, hg.vertices, edges)
+
+
 class FactorMap:
     """A block code bundled with domain and codomain presentations.
 
     The window map is pruned to exactly the admissible windows of the
-    domain; a missing admissible window is an error.  Image
-    admissibility in the codomain is validated on all blocks up to
-    four symbols past the window length.
+    domain; a missing admissible window is an error.  The image shift
+    must lie in the codomain; this is checked exactly, for every
+    presentation, by a first_divergence search from the image
+    presentation to the codomain, and the least image block outside
+    the codomain is named in the error.
     """
 
-    __slots__ = (
-        "code",
-        "domain",
-        "codomain",
-        "surjective",
-        "surjective_exact",
-        "surjectivity_horizon",
-        "_cache",
-    )
+    __slots__ = ("code", "domain", "codomain", "_cache")
 
     def __init__(self, code: BlockCode, domain: LabeledGraph, codomain: LabeledGraph):
         domain = trim_to_essential(domain)
@@ -215,19 +218,14 @@ class FactorMap:
             code.memory, code.anticipation, pruned,
             code.domain_alphabet, code.codomain_alphabet,
         )
-        for extra in range(5):
-            for w in blocks_of_length(domain, width + extra):
-                img = apply_block(self.code, w)
-                if not is_admissible(codomain, img):
-                    raise CodomainMismatchError(
-                        f"image block {format_block(img)} of {format_block(w)}"
-                        " is not admissible in the codomain"
-                    )
+        image = _image_graph(self.code, domain, code.codomain_alphabet)
+        outside = first_divergence(graph_stepper(image), graph_stepper(codomain))
+        if outside is not None:
+            raise CodomainMismatchError(
+                f"image block {format_block(outside)} is not admissible in the codomain"
+            )
         self.domain = domain
         self.codomain = codomain
-        self.surjective = None
-        self.surjective_exact = False
-        self.surjectivity_horizon = 0
         self._cache = {}
 
     def __repr__(self):
@@ -304,37 +302,17 @@ def image_presentation(f: FactorMap) -> LabeledGraph:
     Presents exactly the image shift; edges that become identical
     after relabeling collapse into one.
     """
-    f1 = recode_to_one_block(f)
-    c = f1.code
-    edges = {
-        (src, dst, c.window_map[(lab,)]) for src, dst, lab in f1.domain.edges
-    }
-    return LabeledGraph(f1.codomain.alphabet, f1.domain.vertices, edges)
+    return _image_graph(f.code, f.domain, f.codomain.alphabet)
 
 
-def certify_surjectivity(f: FactorMap, horizon: int = 10) -> bool:
-    """Check that the image language equals the codomain language.
+def certify_surjectivity(f: FactorMap) -> bool:
+    """Whether the image language equals the codomain language.
 
-    Exact (via Fischer cover isomorphism) when both sides are
-    irreducible; otherwise compared block-for-block up to the horizon.
-    Records the result on the FactorMap.
+    Exact for every presentation, reducible or not: FactorMap already
+    proved the image inside the codomain, and languages_equal decides
+    equality by a pair walk over subset states.
     """
-    img = trim_to_essential(image_presentation(f))
-    cod = f.codomain
-    if is_irreducible(img) and is_irreducible(cod):
-        ok = languages_equal(img, cod)
-        f.surjective = ok
-        f.surjective_exact = True
-        f.surjectivity_horizon = math.inf if ok else 0
-        return ok
-    ok = all(
-        blocks_of_length(img, k) == blocks_of_length(cod, k)
-        for k in range(1, horizon + 1)
-    )
-    f.surjective = ok
-    f.surjective_exact = False
-    f.surjectivity_horizon = horizon if ok else 0
-    return ok
+    return languages_equal(image_presentation(f), f.codomain)
 
 
 def parse_code(text: str, base_dir: str = ".", path: str = ""):

@@ -13,9 +13,10 @@ Conventions used throughout the package:
     so every operation is deterministic.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import chain, product, repeat
+from typing import Callable, NamedTuple
 
 from .errors import (
     NotEssentialError,
@@ -79,7 +80,7 @@ class Alphabet:
 
     def words(self, n: int):
         """All length-n blocks over the alphabet, in lexicographic order."""
-        return itertools.product(self.symbols, repeat=n)
+        return product(self.symbols, repeat=n)
 
 
 def format_block(w: Block) -> str:
@@ -159,14 +160,17 @@ class LabeledGraph:
         )
         out = {v: [] for v in vertices}
         in_deg = {v: 0 for v in vertices}
-        step = {}
+        step = {lab: {} for lab in alphabet}
         for src, dst, lab in self.edges:
             out[src].append((lab, dst))
             in_deg[dst] += 1
-            step.setdefault((src, lab), []).append(dst)
+            step[lab].setdefault(src, []).append(dst)
         self._out = out
         self._in_deg = in_deg
-        self._step = {k: tuple(sorted(v)) for k, v in step.items()}
+        # label -> vertex -> sorted targets
+        self._step = {
+            lab: {v: tuple(sorted(ts)) for v, ts in row.items()} for lab, row in step.items()
+        }
 
     def __eq__(self, other):
         return (
@@ -188,7 +192,7 @@ class LabeledGraph:
 
     def step(self, v, label) -> tuple:
         """Targets of label-edges leaving v (sorted tuple, possibly empty)."""
-        return self._step.get((v, label), ())
+        return self._step.get(label, {}).get(v, ())
 
     def to_text(self) -> str:
         lines = ["alphabet " + " ".join(self.alphabet.symbols)]
@@ -319,53 +323,156 @@ def is_irreducible(g: LabeledGraph) -> bool:
     return len(reach(True)) == n and len(reach(False)) == n
 
 
+class Stepper(NamedTuple):
+    """A language as a deterministic walk.
+
+    `start` is the state before any symbol and `step(state, sym)` the
+    state after one more symbol, or None once the word is dead.  None
+    is never a live state (an empty Dyck stack `()` is live), and a
+    stepper whose start is None reads nothing, not even the empty word.
+    `step` is a plain function, so a walk pays no method dispatch per
+    symbol.
+    """
+
+    alphabet: Alphabet
+    start: object
+    step: Callable
+
+    def at(self, state) -> "Stepper":
+        """The same walk restarted at `state`."""
+        return Stepper(self.alphabet, state, self.step)
+
+
+def graph_stepper(g: LabeledGraph, start=None) -> Stepper:
+    """The subset walk of g: a state is the set of vertices some path
+    reading the word so far can end at, starting from `start` (default:
+    every vertex)."""
+    succ = g._step
+
+    def step(s, sym):
+        row = succ.get(sym, {})
+        return frozenset(chain.from_iterable(map(row.get, s, repeat(())))) or None
+
+    return Stepper(g.alphabet, frozenset(g.vertices if start is None else start) or None, step)
+
+
+def memoized(st: Stepper) -> Stepper:
+    """The same walk with each (state, symbol) step computed once, for
+    searches that step the same states many times.  The memo lives as
+    long as the returned stepper."""
+    memo = {}
+    step = st.step
+
+    def cached(s, sym):
+        t = memo.get((s, sym), False)
+        if t is False:
+            t = memo[s, sym] = step(s, sym)
+        return t
+
+    return Stepper(st.alphabet, st.start, cached)
+
+
+def walk(st: Stepper, w: Block):
+    """The state reached by reading w from st.start, or None if w dies."""
+    state, step = st.start, st.step
+    for sym in w:
+        if state is None:
+            break
+        state = step(state, sym)
+    return state
+
+
+def iter_blocks(st: Stepper, n: int):
+    """(word, state reached) for every length-n word readable from
+    st.start, in lexicographic order.  Depth-first in alphabet order,
+    so a dead prefix is never extended."""
+    if st.start is None:
+        return
+    if n == 0:
+        yield (), st.start
+        return
+    symbols, step = st.alphabet.symbols, st.step
+    word, states, todo = [], [st.start], [iter(symbols)]
+    while todo:
+        for sym in todo[-1]:
+            nxt = step(states[-1], sym)
+            if nxt is None:
+                continue
+            if len(states) == n:
+                yield (*word, sym), nxt
+            else:
+                word.append(sym)
+                states.append(nxt)
+                todo.append(iter(symbols))
+                break
+        else:
+            todo.pop()
+            states.pop()
+            if word:
+                word.pop()
+
+
+def first_divergence(a: Stepper, b: Stepper, max_len=None):
+    """Length-lexicographically least word readable from a.start but not
+    from b.start (symbols in a's alphabet order), or None if there is
+    none of length <= max_len.
+
+    Breadth-first over pairs of states, each pair expanded once, so the
+    search is exact at every bound and, with max_len None, decides
+    inclusion outright whenever the reachable pairs are finite.
+    """
+    if a.start is None:
+        return None
+    if b.start is None:
+        return ()
+    symbols, step_a, step_b = a.alphabet.symbols, a.step, b.step
+    seen = {(a.start, b.start)}
+    layer = [((), a.start, b.start)]
+    depth = 0
+    while layer and (max_len is None or depth < max_len):
+        depth += 1
+        nxt = []
+        for word, s, t in layer:
+            for sym in symbols:
+                s2 = step_a(s, sym)
+                if s2 is None:
+                    continue
+                t2 = step_b(t, sym)
+                if t2 is None:
+                    return word + (sym,)
+                if (s2, t2) not in seen:
+                    seen.add((s2, t2))
+                    nxt.append((word + (sym,), s2, t2))
+        layer = nxt
+    return None
+
+
+def follower_equal(a: Stepper, b: Stepper, horizon=None) -> bool:
+    """Do a.start and b.start read the same words up to length `horizon`
+    (every length when None)?"""
+    return (
+        first_divergence(a, b, horizon) is None
+        and first_divergence(b, a, horizon) is None
+    )
+
+
 def image_set(g: LabeledGraph, w: Block, start=None) -> tuple:
     """Vertices reachable from `start` along a path labeled w (sorted).
 
     `start` defaults to all vertices; an empty result means w is not
     admissible from `start`.
     """
-    cur = set(g.vertices if start is None else start)
-    for sym in w:
-        nxt = set()
-        for v in cur:
-            nxt.update(g.step(v, sym))
-        cur = nxt
-        if not cur:
-            break
-    return tuple(sorted(cur))
+    return tuple(sorted(walk(graph_stepper(g, start), w) or ()))
 
 
 def is_admissible(g: LabeledGraph, w: Block) -> bool:
-    if len(w) == 0:
-        return bool(g.vertices)
-    return bool(image_set(g, w))
+    return walk(graph_stepper(g), w) is not None
 
 
 def iter_admissible_blocks(g: LabeledGraph, n: int):
-    """Length-n admissible blocks in lexicographic order.
-
-    Walks the subset automaton depth-first in alphabet order, so no
-    inadmissible word is ever expanded.
-    """
-    if not g.vertices:
-        return
-    full = frozenset(g.vertices)
-
-    def rec(prefix, subset):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for sym in g.alphabet:
-            nxt = set()
-            for v in subset:
-                nxt.update(g.step(v, sym))
-            if nxt:
-                prefix.append(sym)
-                yield from rec(prefix, frozenset(nxt))
-                prefix.pop()
-
-    yield from rec([], full)
+    """Length-n admissible blocks in lexicographic order."""
+    for w, _ in iter_blocks(graph_stepper(g), n):
+        yield w
 
 
 def blocks_of_length(g: LabeledGraph, n: int) -> list:
@@ -375,7 +482,8 @@ def blocks_of_length(g: LabeledGraph, n: int) -> list:
     return list(iter_admissible_blocks(g, n))
 
 
-def _right_resolving(g: LabeledGraph) -> bool:
+def is_right_resolving(g: LabeledGraph) -> bool:
+    """No vertex has two out-edges with the same label."""
     for v in g.vertices:
         labs = [lab for lab, _ in g._out[v]]
         if len(labs) != len(set(labs)):
@@ -389,24 +497,22 @@ def count_blocks(g: LabeledGraph, n: int) -> int:
     Rejects non-right-resolving input: the operation's contract is a
     determinism cross-check, not a path count.
     """
-    if not _right_resolving(g):
+    if not is_right_resolving(g):
         raise NotRightResolvingError(
             "count_blocks requires a right-resolving presentation"
         )
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not g.vertices:
+    st = graph_stepper(g)
+    if st.start is None:
         return 0
-    counts = {frozenset(g.vertices): 1}
+    counts = {st.start: 1}
     for _ in range(n):
         nxt = {}
         for subset, c in counts.items():
             for sym in g.alphabet:
-                image = set()
-                for v in subset:
-                    image.update(g.step(v, sym))
-                if image:
-                    key = frozenset(image)
+                key = st.step(subset, sym)
+                if key is not None:
                     nxt[key] = nxt.get(key, 0) + c
         counts = nxt
     return sum(counts.values())

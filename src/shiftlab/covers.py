@@ -21,12 +21,19 @@ from typing import Optional
 from .core import (
     Block,
     LabeledGraph,
+    first_divergence,
+    follower_equal,
+    graph_stepper,
     image_set,
     is_admissible,
     is_irreducible,
+    is_right_resolving,
     iter_admissible_blocks,
+    iter_blocks,
+    memoized,
     require_essential,
     trim_to_essential,
+    walk,
 )
 from .errors import (
     InadmissibleBlockError,
@@ -40,9 +47,6 @@ from .oracle import (
     SOFIC,
     ShiftOracle,
     _admissible_unbounded,
-    _code_step,
-    _dyck_closers,
-    _dyck_scan,
     _embed_in_concatenation,
     oracle_blocks,
 )
@@ -69,16 +73,6 @@ class HalfSyncVerdict:
     exact: bool = False  # follower comparison was horizon-free
 
 
-def is_right_resolving(g: LabeledGraph) -> bool:
-    """No vertex has two out-edges with the same label."""
-    require_essential(g)
-    for v in g.vertices:
-        labs = [lab for lab, _ in g.out_edges(v)]
-        if len(labs) != len(set(labs)):
-            return False
-    return True
-
-
 def _subset_automaton(g):
     """Subsets reachable from the full vertex set, with transitions.
 
@@ -86,19 +80,19 @@ def _subset_automaton(g):
     discovery order starting at the full set; trans maps (S, symbol)
     to the image subset, omitting empty images.
     """
-    if not g.vertices:
+    st = graph_stepper(g)
+    if st.start is None:
         return [], {}
-    start = frozenset(g.vertices)
-    order = [start]
-    seen = {start}
+    order = [st.start]
+    seen = {st.start}
     trans = {}
     i = 0
     while i < len(order):
         s = order[i]
         i += 1
         for sym in g.alphabet:
-            t = frozenset(x for v in s for x in g.step(v, sym))
-            if t:
+            t = st.step(s, sym)
+            if t is not None:
                 trans[(s, sym)] = t
                 if t not in seen:
                     seen.add(t)
@@ -126,9 +120,11 @@ def subset_cover(g: LabeledGraph) -> LabeledGraph:
 
 
 def _moore_classes(order, trans, alphabet):
-    """Language classes of subset states: S and T fall in one class
-    iff exactly the same words are readable from them.  Dead (empty)
-    successors are encoded as class -1."""
+    """Language classes of deterministic states: trans maps (state,
+    symbol) to the successor, omitting dead moves, and two states fall
+    in one class iff exactly the same words are readable from them.
+    Moore refinement from one class; dead successors are encoded as
+    class -1 and ids are numbered in order of first appearance."""
     cls = {s: 0 for s in order}
     while True:
         sig_ids = {}
@@ -147,42 +143,17 @@ def _moore_classes(order, trans, alphabet):
         cls = new
 
 
-def _walk(trans, s, w):
-    for sym in w:
-        s = trans.get((s, sym))
-        if s is None:
-            return None
-    return s
-
-
 def follower_separation(g: LabeledGraph):
     """Coarsest partition of vertices by equality of follower languages.
 
     Requires a right-resolving presentation; computed by iterated
     refinement from the out-label signature.
     """
+    require_essential(g)
     if not is_right_resolving(g):
         raise NotRightResolvingError("follower_separation needs right-resolving input")
-    step = {}
-    for v in g.vertices:
-        for lab, dst in g.out_edges(v):
-            step[(v, lab)] = dst
-    cls = {v: 0 for v in g.vertices}
-    while True:
-        sig_ids = {}
-        new = {}
-        for v in g.vertices:
-            succ = []
-            for sym in g.alphabet:
-                t = step.get((v, sym))
-                succ.append(-1 if t is None else cls[t])
-            sig = (cls[v], tuple(succ))
-            if sig not in sig_ids:
-                sig_ids[sig] = len(sig_ids)
-            new[v] = sig_ids[sig]
-        if new == cls:
-            break
-        cls = new
+    step = {(v, lab): dst for v in g.vertices for lab, dst in g.out_edges(v)}
+    cls = _moore_classes(g.vertices, step, g.alphabet)
     groups = {}
     for v in g.vertices:
         groups.setdefault(cls[v], []).append(v)
@@ -238,44 +209,14 @@ def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
     return None
 
 
-def _words_with_images(g, length):
-    """(word, image from the full set) for admissible words of the
-    given exact length, lexicographic order."""
-
-    def rec(prefix, subset):
-        if len(prefix) == length:
-            yield tuple(prefix), subset
-            return
-        for sym in g.alphabet:
-            nxt = frozenset(t for v in subset for t in g.step(v, sym))
-            if nxt:
-                prefix.append(sym)
-                yield from rec(prefix, nxt)
-                prefix.pop()
-
-    yield from rec([], frozenset(g.vertices))
-
-
-def _first_dead_extension(g, live_set, dead_set, length):
+def _first_dead_extension(st, live_set, dead_set, length):
     """Least word of exact `length` readable from live_set but not from
     dead_set, or None."""
-
-    def rec(prefix, live, dead):
-        if len(prefix) == length:
-            return tuple(prefix) if not dead else None
-        for sym in g.alphabet:
-            nlive = frozenset(t for v in live for t in g.step(v, sym))
-            if not nlive:
-                continue
-            ndead = frozenset(t for v in dead for t in g.step(v, sym))
-            prefix.append(sym)
-            got = rec(prefix, nlive, ndead)
-            prefix.pop()
-            if got is not None:
-                return got
-        return None
-
-    return rec([], frozenset(live_set), frozenset(dead_set))
+    dead = st.at(dead_set)
+    for w, _ in iter_blocks(st.at(live_set), length):
+        if walk(dead, w) is None:
+            return w
+    return None
 
 
 def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncVerdict:
@@ -293,24 +234,25 @@ def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncV
         raise InadmissibleBlockError(f"inadmissible block {v!r}")
     order, trans = _subset_automaton(g)
     cls = _moore_classes(order, trans, g.alphabet)
+    st = memoized(graph_stepper(g))
     images = set()
     for s in order:
-        t = _walk(trans, s, v)
+        t = walk(st.at(s), v)
         if t is not None:
             images.add(cls[t])
     if len(images) == 1:
         return SyncVerdict(SYNCHRONIZING)
-    s_v = frozenset(image_set(g, v))
+    s_v = walk(st, v)
     for total in range(2, 2 * context_bound + 1):
         for lu in range(1, min(context_bound, total - 1) + 1):
             lw = total - lu
             if lw < 1 or lw > context_bound:
                 continue
-            for u, img_u in _words_with_images(g, lu):
-                s_uv = frozenset(image_set(g, v, img_u))
-                if not s_uv:
+            for u, img_u in iter_blocks(st, lu):
+                s_uv = walk(st.at(img_u), v)
+                if s_uv is None:
                     continue
-                w = _first_dead_extension(g, s_v, s_uv, lw)
+                w = _first_dead_extension(st, s_v, s_uv, lw)
                 if w is not None:
                     return SyncVerdict(NOT_SYNCHRONIZING, witness=(u, w))
     raise WitnessNotFoundError(
@@ -398,19 +340,19 @@ def isomorphic_minimal(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 
 
 def languages_equal(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Exact language equality of two presentations over one alphabet.
+    """Exact language equality of two presentations over one alphabet,
+    for every presentation, reducible or not.
 
-    Decided by canonical isomorphism of the Fischer covers, which is
-    sound for irreducible presentations (minimal covers are unique up
-    to isomorphism).
+    The blocks of a shift are the words readable in the essential part
+    of its graph, so the shifts are equal iff no word is readable from
+    the full vertex set of one essential part and not the other: a
+    first_divergence search both ways over pairs of subset states.
     """
     g1 = trim_to_essential(g1)
     g2 = trim_to_essential(g2)
     if g1.alphabet != g2.alphabet:
         return False
-    if not g1.vertices or not g2.vertices:
-        return not g1.vertices and not g2.vertices
-    return isomorphic_minimal(fischer_cover(g1), fischer_cover(g2))
+    return follower_equal(graph_stepper(g1), graph_stepper(g2))
 
 
 def _shortest_path_word(g, src, dst) -> Optional[Block]:
@@ -432,22 +374,21 @@ def _shortest_path_word(g, src, dst) -> Optional[Block]:
     return None
 
 
-def _connector_to_read(g, start_set, b) -> Block:
-    """Least word d such that b is readable after d from start_set."""
-    s0 = frozenset(start_set)
-    if image_set(g, b, s0):
+def _connector_to_read(st, b) -> Block:
+    """Least word d such that b is readable after d from st.start."""
+    if walk(st, b) is not None:
         return ()
-    seen = {s0}
-    layer = [((), s0)]
+    seen = {st.start}
+    layer = [((), st.start)]
     while layer:
         nxt = []
         for word, s in layer:
-            for sym in g.alphabet:
-                t = frozenset(x for v in s for x in g.step(v, sym))
-                if not t or t in seen:
+            for sym in st.alphabet:
+                t = st.step(s, sym)
+                if t is None or t in seen:
                     continue
                 w2 = word + (sym,)
-                if image_set(g, b, t):
+                if walk(st.at(t), b) is not None:
                     return w2
                 seen.add(t)
                 nxt.append((w2, t))
@@ -455,12 +396,12 @@ def _connector_to_read(g, start_set, b) -> Block:
     raise NotIrreducibleError("cannot reach every admissible block; graph not irreducible")
 
 
-def _wrap_word(g, c) -> Block:
+def _wrap_word(g, st, c) -> Block:
     """Least word d such that (c + d) labels a cycle somewhere, making
     the left-infinite repetition ...(c+d)(c+d) admissible."""
     best = None
     for x in g.vertices:
-        for y in image_set(g, c, (x,)):
+        for y in walk(st.at(frozenset([x])), c) or ():
             w = _shortest_path_word(g, y, x)
             if w is None:
                 continue
@@ -472,29 +413,6 @@ def _wrap_word(g, c) -> Block:
     return best[1]
 
 
-def _separating_word(g, live_set, dead_set) -> Optional[Block]:
-    """Least word readable from live_set but not from dead_set."""
-    a0, b0 = frozenset(live_set), frozenset(dead_set)
-    seen = {(a0, b0)}
-    layer = [((), a0, b0)]
-    while layer:
-        nxt = []
-        for word, a, b in layer:
-            for sym in g.alphabet:
-                na = frozenset(t for v in a for t in g.step(v, sym))
-                if not na:
-                    continue
-                nb = frozenset(t for v in b for t in g.step(v, sym))
-                w2 = word + (sym,)
-                if not nb:
-                    return w2
-                if (na, nb) not in seen:
-                    seen.add((na, nb))
-                    nxt.append((w2, na, nb))
-        layer = nxt
-    return None
-
-
 def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
     g = o.graph
     if not is_irreducible(g):
@@ -504,22 +422,23 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
 
     # weave: every admissible block at the transitivity depth, joined
     # by shortest connectors, read from the full vertex set
+    st = memoized(o.stepper)
     parts = []
-    s = frozenset(g.vertices)
+    s = st.start
     for b in blocks:
-        d = _connector_to_read(g, s, b)
+        d = _connector_to_read(st.at(s), b)
         parts.append(d)
         parts.append(b)
-        s = frozenset(image_set(g, b, image_set(g, d, s)))
+        s = walk(st.at(s), d + b)
     c = tuple(itertools.chain.from_iterable(parts))
 
     # make the weave cyclically repeatable and compute the stable
     # vertex set of the left-infinite repetition
-    unit = c + _wrap_word(g, c)
-    t = frozenset(g.vertices)
+    unit = c + _wrap_word(g, st, c)
+    t = st.start
     reps = 0
     while True:
-        t2 = frozenset(image_set(g, unit, t))
+        t2 = walk(st.at(t), unit)
         reps += 1
         if t2 == t:
             break
@@ -528,7 +447,7 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
 
     order, trans = _subset_automaton(g)
     cls = _moore_classes(order, trans, g.alphabet)
-    s_m = frozenset(image_set(g, m))
+    s_m = walk(st, m)
     target = cls[s_m]
 
     # shortest final connector from the stable set that aligns the
@@ -539,16 +458,16 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
     queue = deque([((), t_star)])
     while queue:
         word, s = queue.popleft()
-        img = frozenset(image_set(g, m, s))
-        if img:
+        img = walk(st.at(s), m)
+        if img is not None:
             if f_any is None:
                 f_any = (word, img)
             if cls[img] == target:
                 f_match = (word, img)
                 break
         for sym in g.alphabet:
-            t2 = frozenset(x for v in s for x in g.step(v, sym))
-            if t2 and t2 not in seen:
+            t2 = st.step(s, sym)
+            if t2 is not None and t2 not in seen:
                 seen.add(t2)
                 queue.append((word + (sym,), t2))
 
@@ -557,7 +476,7 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
         return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=True)
     assert f_any is not None, "m must be reachable, graph irreducible"
     t_eff = f_any[1]
-    delta = _separating_word(g, s_m, t_eff)
+    delta = first_divergence(st.at(s_m), st.at(t_eff))
     assert delta is not None, "classes differ, a separating word exists"
     if len(delta) <= horizon:
         return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta)
@@ -568,19 +487,25 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
 def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
     depth = min(horizon, o.horizon_budget)
     blocks = list(oracle_blocks(o, depth)) or [()]
+    closer_of = dict(o.pairs)
+
+    def closers(stack):
+        """Closers that empty the stack, top first."""
+        return tuple(closer_of[sym] for sym in reversed(stack))
+
     parts = []
     stack = ()
     for b in blocks:
-        parts.append(_dyck_closers(o, stack))
+        parts.append(closers(stack))
         parts.append(b)
-        stack = _dyck_scan(o, b, ())
-    parts.append(_dyck_closers(o, stack))
+        stack = walk(o.stepper, b)
+    parts.append(closers(stack))
     parts.append(m)
     prefix = tuple(itertools.chain.from_iterable(parts))
     # closing the stack before m gives the prefix the signature of m
     # itself, and equal signatures have equal follower sets at every
     # horizon, so the verdict is horizon-free
-    assert _dyck_scan(o, prefix) == _dyck_scan(o, m)
+    assert walk(o.stepper, prefix) == walk(o.stepper, m)
     return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=True)
 
 
@@ -595,31 +520,12 @@ def _half_sync_code(o, m, horizon) -> HalfSyncVerdict:
     parts += [alpha_m, m]
     prefix = tuple(itertools.chain.from_iterable(parts))
 
-    a = o._starts
-    for sym in m:
-        a = _code_step(o, a, sym)
-    b = o._starts
-    for sym in prefix:
-        b = _code_step(o, b, sym)
-    assert b, "constructed prefix must be admissible"
-
-    seen = {(a, b)}
-    layer = [((), a, b)]
-    for _ in range(horizon):
-        nxt = []
-        for word, sa, sb in layer:
-            for sym in o.alphabet:
-                na = _code_step(o, sa, sym)
-                if not na:
-                    continue
-                nb = _code_step(o, sb, sym)
-                w2 = word + (sym,)
-                if not nb:
-                    return HalfSyncVerdict(REFUTED, m, horizon, refutation=w2)
-                if (na, nb) not in seen:
-                    seen.add((na, nb))
-                    nxt.append((w2, na, nb))
-        layer = nxt
+    a = walk(o.stepper, m)
+    b = walk(o.stepper, prefix)
+    assert b is not None, "constructed prefix must be admissible"
+    delta = first_divergence(o.stepper.at(a), o.stepper.at(b), horizon)
+    if delta is not None:
+        return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta)
     return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=False)
 
 

@@ -16,18 +16,29 @@ questions:
     admissibility queries are gated by the horizon budget and the
     answer is documented as window-based.
 
+Every oracle carries a Stepper (see shiftlab.core): a start state and
+a plain function step(state, sym) that returns the next state or None
+once the block is dead.  The sofic state is the set of graph vertices
+a block can end at, the Dyck state the stack of unmatched openers, and
+the code_list state the set of unread generator tails.  Admissibility,
+block enumeration and follower comparison are the shared walks of
+shiftlab.core over that stepper, so they are written once for all
+three kinds; a new shift class needs only a new stepper.
+
 Oracles are immutable after construction.
 """
 
 from .core import (
     Alphabet,
     Block,
-    image_set,
-    is_admissible,
+    Stepper,
+    follower_equal,
+    graph_stepper,
     is_essential,
-    iter_admissible_blocks,
+    iter_blocks,
     parse_block,
     trim_to_essential,
+    walk,
 )
 from .errors import (
     BudgetExceededError,
@@ -54,33 +65,20 @@ class ShiftOracle:
         "alphabet",
         "kind",
         "horizon_budget",
+        "stepper",
         "graph",
         "pairs",
         "generators",
-        "_closer_of",
-        "_opener_of",
-        "_starts",
     )
 
-    def __init__(self, alphabet, kind, horizon_budget, graph=None, pairs=None, generators=None):
-        self.alphabet = alphabet
+    def __init__(self, kind, horizon_budget, stepper, graph=None, pairs=None, generators=None):
+        self.alphabet = stepper.alphabet
         self.kind = kind
         self.horizon_budget = horizon_budget
+        self.stepper = stepper
         self.graph = graph
         self.pairs = pairs
         self.generators = generators
-        self._closer_of = None
-        self._opener_of = None
-        self._starts = None
-        if kind == DYCK:
-            self._closer_of = {o: c for o, c in pairs}
-            self._opener_of = {c: o for o, c in pairs}
-        elif kind == CODE_LIST:
-            starts = {()}
-            for gen in generators:
-                for i in range(1, len(gen)):
-                    starts.add(gen[i:])
-            self._starts = frozenset(starts)
 
     def __repr__(self):
         return f"ShiftOracle({self.kind}, budget={self.horizon_budget})"
@@ -89,7 +87,7 @@ class ShiftOracle:
 def sofic_oracle(graph, horizon_budget: int = DEFAULT_BUDGET) -> ShiftOracle:
     """Exact oracle for the sofic shift presented by `graph`."""
     g = graph if is_essential(graph) else trim_to_essential(graph)
-    return ShiftOracle(g.alphabet, SOFIC, horizon_budget, graph=g)
+    return ShiftOracle(SOFIC, horizon_budget, graph_stepper(g), graph=g)
 
 
 def dyck_oracle(pairs=DYCK_PAIRS_2, horizon_budget: int = DEFAULT_BUDGET) -> ShiftOracle:
@@ -102,7 +100,20 @@ def dyck_oracle(pairs=DYCK_PAIRS_2, horizon_budget: int = DEFAULT_BUDGET) -> Shi
     symbols = []
     for o, c in pairs:
         symbols += [o, c]
-    return ShiftOracle(Alphabet(symbols), DYCK, horizon_budget, pairs=pairs)
+    openers = {o for o, _ in pairs}
+    opener_of = {c: o for o, c in pairs}
+
+    def step(stack, sym):
+        if sym in openers:
+            return stack + (sym,)
+        if not stack:
+            return stack  # matches an opener in the unseen past
+        if stack[-1] == opener_of[sym]:
+            return stack[:-1]
+        return None
+
+    stepper = Stepper(Alphabet(symbols), (), step)
+    return ShiftOracle(DYCK, horizon_budget, stepper, pairs=pairs)
 
 
 def dyck_oracle_rank(r: int, horizon_budget: int = DEFAULT_BUDGET) -> ShiftOracle:
@@ -133,55 +144,26 @@ def code_list_oracle(alphabet, generators, horizon_budget: int = DEFAULT_BUDGET)
             gens.append(gen)
     if not gens:
         raise ValueError("need at least one generator")
-    return ShiftOracle(alphabet, CODE_LIST, horizon_budget, generators=tuple(gens))
+    starts = {()}
+    for gen in gens:
+        for i in range(1, len(gen)):
+            starts.add(gen[i:])
 
+    def step(states, sym):
+        # a residual is the unread tail of the generator being spelled;
+        # the empty residual is a boundary, where any generator
+        # starting with sym may begin
+        new = set()
+        for r in states:
+            if r:
+                if r[0] == sym:
+                    new.add(r[1:])
+            else:
+                new.update(gen[1:] for gen in gens if gen[0] == sym)
+        return frozenset(new) or None
 
-def _dyck_step(o, stack, sym):
-    """One scan step; returns the new stack or None on mismatch."""
-    if sym in o._closer_of:
-        return stack + (sym,)
-    opener = o._opener_of[sym]
-    if not stack:
-        return stack  # matches an opener in the unseen past
-    if stack[-1] == opener:
-        return stack[:-1]
-    return None
-
-
-def _dyck_scan(o, w, stack=()):
-    for sym in w:
-        stack = _dyck_step(o, stack, sym)
-        if stack is None:
-            return None
-    return stack
-
-
-def _code_step(o, states, sym):
-    """Advance the set of residual obligations by one symbol.
-
-    A residual is the unread tail of the generator currently being
-    spelled; the empty residual means a generator boundary, where any
-    generator starting with `sym` may begin.
-    """
-    new = set()
-    for r in states:
-        if r:
-            if r[0] == sym:
-                new.add(r[1:])
-        else:
-            for gen in o.generators:
-                if gen[0] == sym:
-                    new.add(gen[1:])
-    return frozenset(new)
-
-
-def _code_admissible(o, w) -> bool:
-    states = o._starts
-    for sym in w:
-        states = _code_step(o, states, sym)
-        if not states:
-            return False
-    return True
+    stepper = Stepper(alphabet, frozenset(starts), step)
+    return ShiftOracle(CODE_LIST, horizon_budget, stepper, generators=tuple(gens))
 
 
 def _admissible_unbounded(o, w) -> bool:
@@ -189,11 +171,7 @@ def _admissible_unbounded(o, w) -> bool:
     for sym in w:
         if sym not in o.alphabet:
             return False
-    if o.kind == SOFIC:
-        return is_admissible(o.graph, w)
-    if o.kind == DYCK:
-        return _dyck_scan(o, w) is not None
-    return _code_admissible(o, w)
+    return walk(o.stepper, w) is not None
 
 
 def oracle_admissible(o: ShiftOracle, w: Block) -> bool:
@@ -217,88 +195,17 @@ def dyck_follower_signature(o: ShiftOracle, u: Block) -> Block:
     """
     if o.kind != DYCK:
         raise OracleKindError("dyck_follower_signature needs a dyck oracle")
-    stack = _dyck_scan(o, u)
+    stack = walk(o.stepper, u)
     if stack is None:
         raise InadmissibleBlockError(f"inadmissible block {u!r}")
     return stack
 
 
-def _dyck_closers(o, stack) -> Block:
-    """Closers that empty the given stack, top first."""
-    return tuple(o._closer_of[sym] for sym in reversed(stack))
-
-
-def _sofic_follower_equal(o, u, v, horizon) -> bool:
-    g = o.graph
-    start = (frozenset(image_set(g, u)), frozenset(image_set(g, v)))
-    seen = set()
-    stack = [(start[0], start[1], 0)]
-    while stack:
-        su, sv, d = stack.pop()
-        if bool(su) != bool(sv):
-            return False
-        if d == horizon or not su:
-            continue
-        for sym in g.alphabet:
-            nu = frozenset(t for x in su for t in g.step(x, sym))
-            nv = frozenset(t for x in sv for t in g.step(x, sym))
-            if not nu and not nv:
-                continue
-            key = (nu, nv, d + 1)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return True
-
-
-def _dyck_follower_equal(o, u, v, horizon) -> bool:
-    su = _dyck_scan(o, u)
-    sv = _dyck_scan(o, v)
-    seen = set()
-    stack = [(su, sv, 0)]
-    while stack:
-        a, b, d = stack.pop()
-        if d == horizon:
-            continue
-        for sym in o.alphabet:
-            na = _dyck_step(o, a, sym)
-            nb = _dyck_step(o, b, sym)
-            if (na is None) != (nb is None):
-                return False
-            if na is None:
-                continue
-            key = (na, nb, d + 1)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return True
-
-
-def _code_follower_equal(o, u, v, horizon) -> bool:
-    su = o._starts
-    for sym in u:
-        su = _code_step(o, su, sym)
-    sv = o._starts
-    for sym in v:
-        sv = _code_step(o, sv, sym)
-    seen = set()
-    stack = [(su, sv, 0)]
-    while stack:
-        a, b, d = stack.pop()
-        if bool(a) != bool(b):
-            return False
-        if d == horizon or not a:
-            continue
-        for sym in o.alphabet:
-            na = _code_step(o, a, sym)
-            nb = _code_step(o, b, sym)
-            if not na and not nb:
-                continue
-            key = (na, nb, d + 1)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return True
+def _after(o, u) -> Stepper:
+    """The oracle's stepper restarted at the state u leads to."""
+    if not _admissible_unbounded(o, u):
+        raise InadmissibleBlockError(f"inadmissible block {u!r}")
+    return o.stepper.at(walk(o.stepper, u))
 
 
 def oracle_follower_equal(o: ShiftOracle, u: Block, v: Block, horizon: int) -> bool:
@@ -307,46 +214,15 @@ def oracle_follower_equal(o: ShiftOracle, u: Block, v: Block, horizon: int) -> b
         raise BudgetExceededError(
             f"horizon {horizon} exceeds budget {o.horizon_budget}"
         )
-    if not _admissible_unbounded(o, u):
-        raise InadmissibleBlockError(f"inadmissible block {u!r}")
-    if not _admissible_unbounded(o, v):
-        raise InadmissibleBlockError(f"inadmissible block {v!r}")
-    if o.kind == SOFIC:
-        return _sofic_follower_equal(o, u, v, horizon)
-    if o.kind == DYCK:
-        return _dyck_follower_equal(o, u, v, horizon)
-    return _code_follower_equal(o, u, v, horizon)
+    return follower_equal(_after(o, u), _after(o, v), horizon)
 
 
 def oracle_blocks(o: ShiftOracle, n: int):
     """All admissible length-n blocks, lexicographic order (exact for
     every kind; the code_list state space already encodes boundary
     alignments)."""
-    if o.kind == SOFIC:
-        yield from iter_admissible_blocks(o.graph, n)
-        return
-
-    if o.kind == DYCK:
-        state0 = ()
-        stepper = _dyck_step
-        dead = lambda s: s is None
-    else:
-        state0 = o._starts
-        stepper = _code_step
-        dead = lambda s: not s
-
-    def rec(prefix, state):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for sym in o.alphabet:
-            nxt = stepper(o, state, sym)
-            if not dead(nxt):
-                prefix.append(sym)
-                yield from rec(prefix, nxt)
-                prefix.pop()
-
-    yield from rec([], state0)
+    for w, _ in iter_blocks(o.stepper, n):
+        yield w
 
 
 def _embed_in_concatenation(o, b):
@@ -359,13 +235,9 @@ def _embed_in_concatenation(o, b):
     def reskey(r):
         return (len(r), r)
 
-    for r0 in sorted(o._starts, key=reskey):
-        states = frozenset([r0])
-        for sym in b:
-            states = _code_step(o, states, sym)
-            if not states:
-                break
-        if states:
+    for r0 in sorted(o.stepper.start, key=reskey):
+        states = walk(o.stepper.at(frozenset([r0])), b)
+        if states is not None:
             if r0:
                 cands = [
                     g for g in o.generators

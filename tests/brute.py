@@ -80,3 +80,17 @@ def preimage_blocks(f1, w):
             if phi[lab] == w[len(x)]:
                 stack.append((t, x + (lab,)))
     return found
+
+
+def concatenation_factor(gens, w):
+    """Whether w occurs inside some concatenation of the generator
+    blocks.  A concatenation of at most |w| + 2 * max|gen| symbols
+    holds every occurrence, so listing those decides it."""
+    limit = len(w) + 2 * max(len(g) for g in gens)
+    layer = {()}
+    while layer:
+        for c in layer:
+            if any(c[i : i + len(w)] == w for i in range(len(c) - len(w) + 1)):
+                return True
+        layer = {c + g for c in layer for g in gens if len(c) + len(g) <= limit}
+    return False

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from brute import path_words
@@ -164,15 +162,54 @@ def test_image_equals_codomain_iff_onto(maps, graphs):
 
 def test_certify_surjectivity(maps, graphs):
     f = _xor(maps)
-    assert certify_surjectivity(f)
-    assert f.surjective and f.surjective_exact
-    assert f.surjectivity_horizon == math.inf
+    assert certify_surjectivity(f) is True
     g = graphs["full2"]
     constant = FactorMap(
         BlockCode(0, 0, {("0",): "0", ("1",): "0"}, g.alphabet, g.alphabet), g, g
     )
-    assert not certify_surjectivity(constant)
-    assert constant.surjective is False
+    assert certify_surjectivity(constant) is False
+
+
+def test_certify_surjectivity_exact_on_reducible_presentations(graphs):
+    # two disjoint full-shift loops onto full2, and a golden-mean part
+    # plus a lone 0-loop onto the golden mean shift: both reducible
+    full2 = graphs["full2"]
+    loops = parse_graph(
+        "alphabet 0 1\nvertex A\nvertex B\n"
+        "edge A A 0\nedge A A 1\nedge B B 0\nedge B B 1\n"
+    )
+    ident = BlockCode(0, 0, {("0",): "0", ("1",): "1"}, full2.alphabet, full2.alphabet)
+    assert certify_surjectivity(FactorMap(ident, loops, full2))
+    golden = graphs["golden"]
+    part = parse_graph(
+        "alphabet 0 1\nvertex A\nvertex B\nvertex Z\n"
+        "edge A A 0\nedge A B 1\nedge B A 0\nedge Z Z 0\n"
+    )
+    assert certify_surjectivity(FactorMap(ident, part, golden))
+    zeros = parse_graph("alphabet 0 1\nvertex Z\nvertex Y\nedge Z Z 0\nedge Y Y 0\n")
+    assert not certify_surjectivity(FactorMap(ident, zeros, golden))
+
+
+def _gap_graph(gap):
+    """1s separated by at least `gap` 0s."""
+    vs = [f"z{i}" for i in range(gap + 1)]
+    lines = ["alphabet 0 1"] + [f"vertex {v}" for v in vs]
+    lines += [f"edge {vs[i]} {vs[i + 1]} 0" for i in range(gap)]
+    lines += [f"edge {vs[gap]} {vs[gap]} 0", f"edge {vs[gap]} {vs[0]} 1"]
+    return parse_graph("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("gap, witness", [(4, "100001"), (5, "1000001")])
+def test_factor_map_rejects_image_past_the_window_horizon(gap, witness):
+    # the least image block outside the codomain is longer than the
+    # window plus four, so only an exact inclusion check sees it
+    dom, cod = _gap_graph(gap), _gap_graph(gap + 1)
+    ident = BlockCode(0, 0, {("0",): "0", ("1",): "1"}, dom.alphabet, cod.alphabet)
+    with pytest.raises(CodomainMismatchError) as e:
+        FactorMap(ident, dom, cod)
+    assert "codomain" in str(e.value)
+    assert f"image block {witness} " in str(e.value)
+    FactorMap(ident, cod, dom)
 
 
 def test_factor_map_validates_window_coverage(graphs):

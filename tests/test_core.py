@@ -11,6 +11,7 @@ from shiftlab.core import (
     is_admissible,
     is_essential,
     is_irreducible,
+    is_right_resolving,
     iter_admissible_blocks,
     parse_block,
     parse_graph,
@@ -20,7 +21,8 @@ from shiftlab.core import (
     shift,
     trim_to_essential,
 )
-from shiftlab.errors import NotRightResolvingError, ParseError
+from shiftlab.covers import follower_separation
+from shiftlab.errors import NotEssentialError, NotRightResolvingError, ParseError
 
 EVEN_TEXT = "alphabet 0 1\nvertex A\nvertex B\nedge A A 1\nedge A B 0\nedge B A 0\n"
 
@@ -100,6 +102,17 @@ def test_counts_match_brute_paths(graphs):
 def test_count_blocks_rejects_nondeterministic_presentations(graphs):
     with pytest.raises(NotRightResolvingError):
         count_blocks(graphs["goldennd"], 3)
+
+
+def test_is_right_resolving_needs_no_essential_input(graphs):
+    assert is_right_resolving(graphs["golden"])
+    assert not is_right_resolving(graphs["goldennd"])
+    # C has no in-edge; only callers that need essential input check it
+    stranded = "alphabet 0 1\nvertex A\nvertex C\nvertex D\nedge A A 0\nedge C A 1\n"
+    assert is_right_resolving(parse_graph(stranded + "edge C D 0\nedge D A 0\n"))
+    assert not is_right_resolving(parse_graph(stranded + "edge C D 1\nedge D A 0\n"))
+    with pytest.raises(NotEssentialError):
+        follower_separation(parse_graph(stranded + "edge C D 0\nedge D A 0\n"))
 
 
 def test_blocks_of_length_enumeration(graphs):
