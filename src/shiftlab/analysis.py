@@ -11,7 +11,6 @@ the verdict is bounded and says so.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +23,8 @@ from .core import (
     is_admissible,
     is_irreducible,
     iter_admissible_blocks,
+    reach,
+    strong_components,
     trim_to_essential,
     walk,
 )
@@ -234,20 +235,15 @@ def is_finite_to_one(f: FactorMap) -> bool:
     if got is not None:
         return got
     pa = _fischer_pairs(f)
-    seen = set(pa.diagonal_flags())
-    queue = deque(seen)
-    ok = True
-    while queue and ok:
-        p, q, flag = queue.popleft()
-        for _, a1, a2, (r, s) in pa.transitions[(p, q)]:
-            nflag = flag or (p, a1) != (q, a2)
-            if nflag and r == s:
-                ok = False
-                break
-            state = (r, s, nflag)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
+
+    def succ(state):
+        p, q, flag = state
+        return [
+            (r, s, flag or (p, a1) != (q, a2))
+            for _, a1, a2, (r, s) in pa.transitions[(p, q)]
+        ]
+
+    ok = not any(flag and r == s for r, s, flag in reach(pa.diagonal_flags(), succ))
     f._cache["finite_to_one"] = ok
     return ok
 
@@ -400,18 +396,14 @@ def find_decoder_block(
             ends = walk(img, w)
             if ends is None:
                 continue
-            reach = {(p, q) for p in ends for q in ends}
-            queue = deque(reach)
-            while queue:
-                pq = queue.popleft()
-                for _, a1, a2, succ in pa.transitions[pq]:
-                    if a1 == a2 and succ not in reach:
-                        reach.add(succ)
-                        queue.append(succ)
+            closure = reach(
+                [(p, q) for p in ends for q in ends],
+                lambda pq: [succ for _, a1, a2, succ in pa.transitions[pq] if a1 == a2],
+            )
             for k in range(max_anticipation + 1):
                 surv = chain[min(k, len(chain) - 1)]
                 ok = True
-                for pq in reach:
+                for pq in closure:
                     for _, a1, a2, succ in pa.transitions[pq]:
                         if a1 != a2 and succ in surv:
                             ok = False
@@ -463,24 +455,13 @@ def _limit_sets(img):
     succ = {s: set() for s in nodes}
     for (s, _), t in trans.items():
         succ[s].add(t)
-    # nodes lying on a cycle: reachable from themselves in >= 1 step
-    on_cycle = set()
-    for s in nodes:
-        frontier = set(succ[s])
-        visited = set(frontier)
-        while frontier:
-            if s in visited:
-                break
-            frontier = {t for u in frontier for t in succ[u]} - visited
-            visited |= frontier
-        if s in visited:
-            on_cycle.add(s)
-    result = set(on_cycle)
-    frontier = set(on_cycle)
-    while frontier:
-        frontier = {t for s in frontier for t in succ[s]} - result
-        result |= frontier
-    return result
+    on_cycle = [
+        s
+        for comp in strong_components(nodes, succ.__getitem__)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]
+        for s in comp
+    ]
+    return reach(on_cycle, succ.__getitem__)
 
 
 def _central_window_set(image_out, w, n, k, fset, pset):
@@ -566,24 +547,19 @@ def _condition_two(g, phi, image_out, w, n, k, block, extension_bound):
     # unbounded upgrade: no reachable pair admits any divergence
     if any(need < math.inf for need in configs.values()):
         return True, extension_bound
-    closure = set(configs)
-    queue = deque(closure)
-    divergent = False
-    while queue and not divergent:
-        p, q = queue.popleft()
-        for b in symbols:
-            for a1, r in image_out.get((p, b), ()):
-                for a2, s in image_out.get((q, b), ()):
-                    if a1 != a2:
-                        divergent = True
-                        break
-                    if (r, s) not in closure:
-                        closure.add((r, s))
-                        queue.append((r, s))
-                if divergent:
-                    break
-            if divergent:
-                break
+
+    def moves(pq):
+        """(labels differ, successor pair) for each equal-image step."""
+        p, q = pq
+        return [
+            (a1 != a2, (r, s))
+            for b in symbols
+            for a1, r in image_out.get((p, b), ())
+            for a2, s in image_out.get((q, b), ())
+        ]
+
+    closure = reach(configs, lambda pq: [rs for differ, rs in moves(pq) if not differ])
+    divergent = any(differ for pq in closure for differ, _ in moves(pq))
     return True, extension_bound if divergent else math.inf
 
 
@@ -646,55 +622,12 @@ def find_hyperbolic_certificate(
 def _strong_components(g: LabeledGraph):
     """Strongly connected components with at least one internal edge,
     as induced subgraphs, ordered by least vertex name."""
-    adj = {v: set() for v in g.vertices}
-    radj = {v: set() for v in g.vertices}
-    for src, dst, _ in g.edges:
-        adj[src].add(dst)
-        radj[dst].add(src)
-    order = []
-    seen = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        stack = [(root, iter(sorted(adj[root])))]
-        seen.add(root)
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    comp_of = {}
-    for root in reversed(order):
-        if root in comp_of:
-            continue
-        members = []
-        stack = [root]
-        comp_of[root] = root
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for u in radj[v]:
-                if u not in comp_of:
-                    comp_of[u] = root
-                    stack.append(u)
-        comp_of[root] = root
-    groups = {}
-    for v, root in comp_of.items():
-        groups.setdefault(root, []).append(v)
     comps = []
-    for members in groups.values():
+    for members in strong_components(g.vertices, lambda v: [dst for _, dst in g.out_edges(v)]):
         mset = set(members)
         edges = [e for e in g.edges if e[0] in mset and e[1] in mset]
-        if not edges:
-            continue
-        comps.append(LabeledGraph(g.alphabet, sorted(mset), edges))
+        if edges:
+            comps.append(LabeledGraph(g.alphabet, mset, edges))
     comps.sort(key=lambda c: c.vertices[0])
     return comps
 

@@ -6,6 +6,7 @@ or exhausted searches, 3 for a theorem-check disagreement.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -306,6 +307,7 @@ def _bound_flags(parser, leaf):
     parser.add_argument("--format", choices=("report", "tsv"), default=d or "report")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="shiftlab")
     _bound_flags(top, leaf=False)
@@ -380,9 +382,6 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return run(_config_from(ns))
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except (ShiftlabError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

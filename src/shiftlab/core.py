@@ -14,6 +14,7 @@ Conventions used throughout the package:
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from typing import Callable, NamedTuple
@@ -266,24 +267,26 @@ def load_graph(path) -> LabeledGraph:
 
 
 def trim_to_essential(g: LabeledGraph) -> LabeledGraph:
-    """Maximal subgraph where every vertex has an in- and an out-edge.
+    """Maximal subgraph where every vertex has an in- and an out-edge:
+    the vertices reachable from a cycle that also reach a cycle.
 
     Idempotent; the result may be empty (a legal presentation of the
     empty shift).
     """
-    alive = set(g.vertices)
-    edges = list(g.edges)
-    while True:
-        out_deg = {v: 0 for v in alive}
-        in_deg = {v: 0 for v in alive}
-        for src, dst, lab in edges:
-            out_deg[src] += 1
-            in_deg[dst] += 1
-        dead = {v for v in alive if out_deg[v] == 0 or in_deg[v] == 0}
-        if not dead:
-            break
-        alive -= dead
-        edges = [e for e in edges if e[0] in alive and e[1] in alive]
+    succ = {v: [dst for _, dst in g._out[v]] for v in g.vertices}
+    pred = {v: [] for v in g.vertices}
+    for src, dst, _ in g.edges:
+        pred[dst].append(src)
+    cyclic = [
+        v
+        for comp in strong_components(g.vertices, succ.__getitem__)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]
+        for v in comp
+    ]
+    alive = reach(cyclic, succ.__getitem__) & reach(cyclic, pred.__getitem__)
+    if len(alive) == len(g.vertices):
+        return g
+    edges = [e for e in g.edges if e[0] in alive and e[1] in alive]
     return LabeledGraph(g.alphabet, alive, edges)
 
 
@@ -300,27 +303,80 @@ def require_essential(g: LabeledGraph):
 
 def is_irreducible(g: LabeledGraph) -> bool:
     """True iff the graph is strongly connected (and non-empty)."""
-    if not g.vertices:
-        return False
-    start = g.vertices[0]
+    comps = strong_components(g.vertices, lambda v: [dst for _, dst in g._out[v]])
+    return len(comps) == 1
 
-    def reach(forward):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if forward:
-                nbrs = [dst for _, dst in g._out[v]]
+
+def strong_components(nodes, succ) -> list:
+    """Strongly connected components of the graph on `nodes` whose
+    successors are `succ(node)`, each a list, in the order Tarjan's
+    algorithm closes them: a component comes after every component it
+    reaches.  Iterative, so a long path meets no recursion limit."""
+    index, low, stack, comps = {}, {}, [], []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                # a node of a closed component has index inf: no effect
+                if index[w] < low[v]:
+                    low[v] = index[w]
             else:
-                nbrs = [src for src, dst, _ in g.edges if dst == v]
-            for u in nbrs:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = math.inf
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
-    n = len(g.vertices)
-    return len(reach(True)) == n and len(reach(False)) == n
+
+def reach(starts, succ) -> set:
+    """Every node reachable from `starts` (included) along `succ`."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for t in succ(todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def bfs(start, moves):
+    """(least word, state) for every state reachable from `start`, in
+    breadth-first discovery order, where `moves(state)` lists the
+    (symbol, successor) pairs in symbol order.  The word is the
+    length-lexicographically least one leading to the state.  A state
+    is yielded as soon as it is discovered, before the search steps
+    another state, so a caller that stops at the first match has
+    stepped no more states than it needed."""
+    yield (), start
+    seen = {start}
+    queue = deque([((), start)])
+    while queue:
+        word, s = queue.popleft()
+        for sym, t in moves(s):
+            if t not in seen:
+                seen.add(t)
+                w = word + (sym,)
+                yield w, t
+                queue.append((w, t))
 
 
 class Stepper(NamedTuple):
@@ -341,6 +397,15 @@ class Stepper(NamedTuple):
     def at(self, state) -> "Stepper":
         """The same walk restarted at `state`."""
         return Stepper(self.alphabet, state, self.step)
+
+    def moves(self, state):
+        """(symbol, successor) for each symbol that keeps the word live,
+        in alphabet order: the shape `bfs` expects."""
+        step = self.step
+        for sym in self.alphabet.symbols:
+            t = step(state, sym)
+            if t is not None:
+                yield sym, t
 
 
 def graph_stepper(g: LabeledGraph, start=None) -> Stepper:

@@ -14,13 +14,13 @@ verdict records the horizon and, where the argument is horizon-free
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     Block,
     LabeledGraph,
+    bfs,
     first_divergence,
     follower_equal,
     graph_stepper,
@@ -31,6 +31,7 @@ from .core import (
     iter_admissible_blocks,
     iter_blocks,
     memoized,
+    reach,
     require_essential,
     trim_to_essential,
     walk,
@@ -40,7 +41,6 @@ from .errors import (
     NotIrreducibleError,
     NotRightResolvingError,
     SynchronizingWordNotFoundError,
-    WitnessNotFoundError,
 )
 from .oracle import (
     DYCK,
@@ -227,7 +227,8 @@ def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncV
     independent of u.  The test compares language classes of v-images
     over every reachable subset, which is exact for any presentation,
     right-resolving or not.  context_bound only limits the refutation
-    witness search.
+    witness search: a NOT_SYNCHRONIZING verdict carries no witness when
+    none has both context words within the bound.
     """
     require_essential(g)
     if not is_admissible(g, v):
@@ -255,9 +256,7 @@ def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncV
                 w = _first_dead_extension(st, s_v, s_uv, lw)
                 if w is not None:
                     return SyncVerdict(NOT_SYNCHRONIZING, witness=(u, w))
-    raise WitnessNotFoundError(
-        f"no refutation witness within context bound {context_bound}"
-    )
+    return SyncVerdict(NOT_SYNCHRONIZING)
 
 
 def fischer_cover(g: LabeledGraph) -> LabeledGraph:
@@ -279,27 +278,11 @@ def fischer_cover(g: LabeledGraph) -> LabeledGraph:
         )
     root_set = image_set(merged, alpha)
     assert len(root_set) == 1, "synchronizing word must focus the merged cover"
-    root = root_set[0]
-    forward = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for _, dst in merged.out_edges(x):
-            if dst not in forward:
-                forward.add(dst)
-                stack.append(dst)
-    backward = {root}
-    stack = [root]
     preds = {}
     for src, dst, _ in merged.edges:
-        preds.setdefault(dst, set()).add(src)
-    while stack:
-        x = stack.pop()
-        for src in preds.get(x, ()):
-            if src not in backward:
-                backward.add(src)
-                stack.append(src)
-    comp = forward & backward
+        preds.setdefault(dst, []).append(src)
+    forward = reach(root_set, lambda x: [dst for _, dst in merged.out_edges(x)])
+    comp = forward & reach(root_set, lambda x: preds.get(x, ()))
     edges = [e for e in merged.edges if e[0] in comp and e[1] in comp]
     return LabeledGraph(g.alphabet, comp, edges)
 
@@ -313,6 +296,8 @@ def canonical_form(g: LabeledGraph) -> LabeledGraph:
     isomorphic iff their canonical forms are equal.
     """
     require_essential(g)
+    if not is_irreducible(g):
+        raise NotIrreducibleError("canonical_form needs an irreducible presentation")
     sc = subset_cover(g)
     alpha = find_synchronizing_word(g, max_len=len(sc.vertices))
     if alpha is None:
@@ -320,17 +305,15 @@ def canonical_form(g: LabeledGraph) -> LabeledGraph:
             f"no synchronizing word of length <= {len(sc.vertices)}"
         )
     root_set = image_set(g, alpha)
-    assert len(root_set) == 1, "input is not a focused minimal cover"
+    if len(root_set) != 1:
+        raise ValueError(
+            "input is not a minimal cover: its least synchronizing word"
+            f" ends at {len(root_set)} vertices"
+        )
     width = len(str(max(len(g.vertices) - 1, 1)))
-    names = {root_set[0]: f"{0:0{width}d}"}
-    queue = deque(root_set)
-    while queue:
-        x = queue.popleft()
-        for _, dst in g.out_edges(x):
-            if dst not in names:
-                names[dst] = f"{len(names):0{width}d}"
-                queue.append(dst)
-    assert len(names) == len(g.vertices), "cover must be irreducible"
+    names = {
+        x: f"{i:0{width}d}" for i, (_, x) in enumerate(bfs(root_set[0], g.out_edges))
+    }
     edges = [(names[src], names[dst], lab) for src, dst, lab in g.edges]
     return LabeledGraph(g.alphabet, names.values(), edges)
 
@@ -357,42 +340,14 @@ def languages_equal(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 
 def _shortest_path_word(g, src, dst) -> Optional[Block]:
     """Least word labeling a path src -> dst (empty if src == dst)."""
-    if src == dst:
-        return ()
-    seen = {src}
-    layer = [((), src)]
-    while layer:
-        nxt = []
-        for word, x in layer:
-            for lab, y in g.out_edges(x):
-                if y == dst:
-                    return word + (lab,)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append((word + (lab,), y))
-        layer = nxt
-    return None
+    return next((w for w, y in bfs(src, g.out_edges) if y == dst), None)
 
 
 def _connector_to_read(st, b) -> Block:
     """Least word d such that b is readable after d from st.start."""
-    if walk(st, b) is not None:
-        return ()
-    seen = {st.start}
-    layer = [((), st.start)]
-    while layer:
-        nxt = []
-        for word, s in layer:
-            for sym in st.alphabet:
-                t = st.step(s, sym)
-                if t is None or t in seen:
-                    continue
-                w2 = word + (sym,)
-                if walk(st.at(t), b) is not None:
-                    return w2
-                seen.add(t)
-                nxt.append((w2, t))
-        layer = nxt
+    for d, s in bfs(st.start, st.moves):
+        if walk(st.at(s), b) is not None:
+            return d
     raise NotIrreducibleError("cannot reach every admissible block; graph not irreducible")
 
 
@@ -454,10 +409,7 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
     # follower class of the ray with that of m
     f_match = None
     f_any = None
-    seen = {t_star}
-    queue = deque([((), t_star)])
-    while queue:
-        word, s = queue.popleft()
+    for word, s in bfs(t_star, st.moves):
         img = walk(st.at(s), m)
         if img is not None:
             if f_any is None:
@@ -465,11 +417,6 @@ def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
             if cls[img] == target:
                 f_match = (word, img)
                 break
-        for sym in g.alphabet:
-            t2 = st.step(s, sym)
-            if t2 is not None and t2 not in seen:
-                seen.add(t2)
-                queue.append((word + (sym,), t2))
 
     if f_match is not None:
         prefix = unit * reps + f_match[0] + m

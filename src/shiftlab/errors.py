@@ -78,10 +78,6 @@ class SynchronizingWordNotFoundError(ShiftlabError):
     """No synchronizing word exists within the searched length bound."""
 
 
-class WitnessNotFoundError(ShiftlabError):
-    """A refutation witness was requested but none exists within the bound."""
-
-
 class BudgetExceededError(ShiftlabError):
     """An oracle or search ran past its configured horizon budget."""
 

@@ -19,6 +19,48 @@ def path_words(g, n):
     return words
 
 
+def paths_from(g, v, n):
+    """(label word, end vertex) of every n-edge path from v."""
+    layer = [((), v)]
+    for _ in range(n):
+        layer = [(w + (lab,), t) for w, u in layer for lab, t in g.out_edges(u)]
+    return layer
+
+
+def least_path_word(g, src, dst):
+    """Length-lexicographically least label word of a path src -> dst,
+    listing the paths of each length; None if dst is unreachable.  A
+    least path visits no vertex twice, so lengths below |V| suffice."""
+    for n in range(len(g.vertices)):
+        words = [w for w, v in paths_from(g, src, n) if v == dst]
+        if words:
+            return min(words, key=g.alphabet.block_key)
+    return None
+
+
+def reachable(g, v):
+    """Vertices at the end of some path from v, v included."""
+    return {t for n in range(len(g.vertices)) for _, t in paths_from(g, v, n)}
+
+
+def essential_part(g):
+    """(vertices, edges) left by deleting vertices with no in-edge or no
+    out-edge, and their edges, until none is left."""
+    alive = set(g.vertices)
+    edges = list(g.edges)
+    while True:
+        out_deg = {v: 0 for v in alive}
+        in_deg = {v: 0 for v in alive}
+        for src, dst, _ in edges:
+            out_deg[src] += 1
+            in_deg[dst] += 1
+        dead = {v for v in alive if out_deg[v] == 0 or in_deg[v] == 0}
+        if not dead:
+            return alive, edges
+        alive -= dead
+        edges = [e for e in edges if e[0] in alive and e[1] in alive]
+
+
 def reads(g, w):
     """Whether some path reads w."""
     states = set(g.vertices)

@@ -33,6 +33,13 @@ def test_flags_accepted_before_subcommand(capsys):
     assert out == "decoder-block 1 anticipation 0\n"
 
 
+def test_sync_check_without_witness_in_bound(capsys):
+    # the verdict is proved; the least witness "1 01" needs a context
+    # word of length 2, so horizon 1 reports the verdict with no witness
+    status, out, err = run(capsys, "sync", "check", "even.graph", "00", "--horizon", "1")
+    assert (status, out, err) == (0, "status not-synchronizing\n", "")
+
+
 def test_lang_count(capsys):
     status, out, _ = run(capsys, "lang", "count", "golden.graph", "--max-len", "6")
     assert status == 0

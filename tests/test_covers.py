@@ -74,6 +74,19 @@ def test_canonical_form_stable_under_vertex_renaming(graphs):
     assert canonical_form(fischer_cover(g)).to_text() == canonical_form(fischer_cover(renamed)).to_text()
 
 
+def test_canonical_form_rejects_input_that_is_not_a_minimal_cover(graphs):
+    # even4 presents the even shift with every state split in two: its
+    # least synchronizing word does not focus it on one vertex
+    with pytest.raises(ValueError):
+        canonical_form(graphs["even4"])
+    loops = parse_graph(
+        "alphabet 0 1\nvertex A\nvertex B\n"
+        "edge A A 0\nedge A A 1\nedge B B 0\nedge B B 1\n"
+    )
+    with pytest.raises(NotIrreducibleError):
+        canonical_form(loops)
+
+
 def test_languages_equal(graphs):
     assert languages_equal(graphs["even"], graphs["even4"])
     assert languages_equal(graphs["golden"], graphs["goldennd"])

@@ -1,4 +1,5 @@
-"""The shared language walks against plain enumeration.
+"""The shared language walks and graph searches against plain
+enumeration.
 
 Generated graphs include reducible and non-right-resolving ones, and
 pairs built to share a language (a disjoint copy, a subgraph copy, a
@@ -10,13 +11,25 @@ import random
 
 import pytest
 
-from brute import concatenation_factor, dyck_admissible, followers_equal, path_words, reads
+from brute import (
+    concatenation_factor,
+    dyck_admissible,
+    essential_part,
+    followers_equal,
+    least_path_word,
+    path_words,
+    reachable,
+    reads,
+)
 from shiftlab.core import (
     Alphabet,
     LabeledGraph,
+    bfs,
     first_divergence,
     graph_stepper,
     parse_graph,
+    reach,
+    strong_components,
     trim_to_essential,
 )
 from shiftlab.covers import languages_equal
@@ -88,6 +101,72 @@ def _pair(seed):
     else:
         h = _random_graph(rng, "q")
     return g, h
+
+
+def _successors(g):
+    return lambda v: [t for _, t in g.out_edges(v)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_strong_components_against_mutual_reachability(seed):
+    for g in _pair(seed):
+        reach_of = {v: reachable(g, v) for v in g.vertices}
+        comps = strong_components(g.vertices, _successors(g))
+        assert sorted(v for c in comps for v in c) == list(g.vertices)
+        for c in comps:
+            for v in g.vertices:
+                assert (v in c) == (v in reach_of[c[0]] and c[0] in reach_of[v])
+        # closing order: a component comes after every component it reaches
+        pos = {v: i for i, c in enumerate(comps) for v in c}
+        assert all(pos[dst] <= pos[src] for src, dst, _ in g.edges)
+        for v in g.vertices:
+            assert reach([v], _successors(g)) == reach_of[v]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_trim_to_essential_against_pruning(seed):
+    for g in _pair(seed):
+        alive, edges = essential_part(g)
+        t = trim_to_essential(g)
+        assert (set(t.vertices), set(t.edges)) == (alive, set(edges))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bfs_words_against_enumeration(seed):
+    for g in _pair(seed):
+        for src in g.vertices:
+            found = list(bfs(src, g.out_edges))
+            assert sorted(v for _, v in found) == sorted(reachable(g, src))
+            keys = [g.alphabet.block_key(w) for w, _ in found]
+            assert keys == sorted(keys)  # discovery order is length-lex order
+            for w, v in found:
+                assert w == least_path_word(g, src, v)
+
+
+def test_bfs_is_breadth_first_and_yields_on_discovery():
+    # the generated graphs are too small to tell breadth-first from
+    # depth-first order: here depth-first would reach D by 10, not 00
+    g = parse_graph(
+        "alphabet 0 1\nvertex A\nvertex B\nvertex C\nvertex D\n"
+        "edge A B 0\nedge A C 1\nedge B D 0\nedge C D 0\nedge D A 0\n"
+    )
+    stepped = []
+
+    def moves(v):
+        stepped.append(v)
+        return g.out_edges(v)
+
+    found = bfs("A", moves)
+    assert [next(found) for _ in range(3)] == [((), "A"), (("0",), "B"), (("1",), "C")]
+    assert stepped == ["A"]
+    assert list(found) == [(("0", "0"), "D")]
+
+
+def test_strong_components_on_a_long_ring():
+    # deeper than the interpreter's recursion limit
+    n = 5000
+    comps = strong_components(range(n), lambda i: [(i + 1) % n])
+    assert [sorted(c) for c in comps] == [list(range(n))]
 
 
 def test_disjoint_full_shift_loops_equal_full2(graphs):
