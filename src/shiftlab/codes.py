@@ -403,7 +403,7 @@ def parse_code(text: str, base_dir: str = ".", path: str = ""):
         window_map[win] = out
 
     if domain is not None:
-        admissible = set(blocks_of_length(trim_to_essential(domain), width))
+        admissible = set(blocks_of_length(domain, width))
         for w in admissible:
             if w not in window_map:
                 raise ParseError(f"admissible window {format_block(w)} unmapped", 0, path)

@@ -544,7 +544,7 @@ def blocks_of_length(g: LabeledGraph, n: int) -> list:
     """B_n of the presented shift, sorted lexicographically."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(iter_admissible_blocks(g, n))
+    return list(iter_admissible_blocks(trim_to_essential(g), n))
 
 
 def is_right_resolving(g: LabeledGraph) -> bool:
@@ -557,11 +557,13 @@ def is_right_resolving(g: LabeledGraph) -> bool:
 
 
 def count_blocks(g: LabeledGraph, n: int) -> int:
-    """|B_n| via the deterministic subset automaton.
+    """|B_n| of the presented shift via the deterministic subset
+    automaton of its essential part.
 
-    Rejects non-right-resolving input: the operation's contract is a
-    determinism cross-check, not a path count.
+    Rejects a non-right-resolving essential part: the operation's
+    contract is a determinism cross-check, not a path count.
     """
+    g = trim_to_essential(g)
     if not is_right_resolving(g):
         raise NotRightResolvingError(
             "count_blocks requires a right-resolving presentation"

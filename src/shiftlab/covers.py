@@ -23,6 +23,7 @@ from .core import (
     bfs,
     first_divergence,
     follower_equal,
+    format_block,
     graph_stepper,
     image_set,
     is_admissible,
@@ -31,8 +32,8 @@ from .core import (
     iter_admissible_blocks,
     iter_blocks,
     memoized,
-    reach,
     require_essential,
+    strong_components,
     trim_to_essential,
     walk,
 )
@@ -174,38 +175,24 @@ def _merge_by_partition(g: LabeledGraph, partition) -> LabeledGraph:
 def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
     """Length-lexicographically least non-empty admissible block whose
     image in the subset cover is a single vertex, or None if there is
-    none of length <= max_len."""
+    none of length <= max_len.
+
+    `bfs` over the image sets of the subset cover yields each set with
+    its least word, in that order.  It starts at a root before the
+    first symbol, so in a one-vertex cover the start set, already a
+    singleton, is still reached by a non-empty word.
+    """
     require_essential(g)
-    sc = subset_cover(g)
-    if not sc.vertices:
+    st = graph_stepper(subset_cover(g))
+    if st.start is None:
         return None
-    start = tuple(sc.vertices)
-    seen = {start}
-    layer = [((), start)]
-    for _ in range(max_len):
-        nxt = []
-        for word, vec in layer:
-            for sym in sc.alphabet:
-                newvec = []
-                live = set()
-                for x in vec:
-                    t = None
-                    if x is not None:
-                        targets = sc.step(x, sym)
-                        t = targets[0] if targets else None
-                    newvec.append(t)
-                    if t is not None:
-                        live.add(t)
-                if not live:
-                    continue
-                w2 = word + (sym,)
-                if len(live) == 1:
-                    return w2
-                newvec = tuple(newvec)
-                if newvec not in seen:
-                    seen.add(newvec)
-                    nxt.append((w2, newvec))
-        layer = nxt
+    found = bfs(None, lambda s: st.moves(st.start if s is None else s))
+    next(found)  # the root
+    for word, s in found:
+        if len(word) > max_len:
+            return None
+        if len(s) == 1:
+            return word
     return None
 
 
@@ -232,7 +219,7 @@ def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncV
     """
     require_essential(g)
     if not is_admissible(g, v):
-        raise InadmissibleBlockError(f"inadmissible block {v!r}")
+        raise InadmissibleBlockError(f"inadmissible block {format_block(v)}")
     order, trans = _subset_automaton(g)
     cls = _moore_classes(order, trans, g.alphabet)
     st = memoized(graph_stepper(g))
@@ -263,26 +250,18 @@ def fischer_cover(g: LabeledGraph) -> LabeledGraph:
     """Minimal right-resolving presentation of an irreducible sofic shift.
 
     Subset cover, then follower-set merging, then restriction to the
-    irreducible component containing the image of a synchronizing
-    word.  Idempotent up to canonical isomorphism.
+    follower sets of synchronizing words.  Those are reached from every
+    state and closed under every symbol, so they form the one component
+    no edge leaves, and Tarjan closes that component first.  Idempotent
+    up to canonical isomorphism.
     """
     require_essential(g)
     if not is_irreducible(g):
         raise NotIrreducibleError("fischer_cover needs an irreducible presentation")
     sc = subset_cover(g)
     merged = _merge_by_partition(sc, follower_separation(sc))
-    alpha = find_synchronizing_word(g, max_len=len(sc.vertices))
-    if alpha is None:
-        raise SynchronizingWordNotFoundError(
-            f"no synchronizing word of length <= {len(sc.vertices)}"
-        )
-    root_set = image_set(merged, alpha)
-    assert len(root_set) == 1, "synchronizing word must focus the merged cover"
-    preds = {}
-    for src, dst, _ in merged.edges:
-        preds.setdefault(dst, []).append(src)
-    forward = reach(root_set, lambda x: [dst for _, dst in merged.out_edges(x)])
-    comp = forward & reach(root_set, lambda x: preds.get(x, ()))
+    succ = {x: [dst for _, dst in merged.out_edges(x)] for x in merged.vertices}
+    comp = set(strong_components(merged.vertices, succ.__getitem__)[0])
     edges = [e for e in merged.edges if e[0] in comp and e[1] in comp]
     return LabeledGraph(g.alphabet, comp, edges)
 
@@ -487,7 +466,7 @@ def is_half_synchronizing(o: ShiftOracle, m: Block, horizon: int) -> HalfSyncVer
     verdicts carry exact=True; code_list verdicts are window-based.
     """
     if not _admissible_unbounded(o, m):
-        raise InadmissibleBlockError(f"inadmissible block {m!r}")
+        raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
     if o.kind == SOFIC:
         return _half_sync_sofic(o, m, horizon)
     if o.kind == DYCK:

@@ -33,6 +33,7 @@ from .core import (
     Block,
     Stepper,
     follower_equal,
+    format_block,
     graph_stepper,
     is_essential,
     iter_blocks,
@@ -197,14 +198,14 @@ def dyck_follower_signature(o: ShiftOracle, u: Block) -> Block:
         raise OracleKindError("dyck_follower_signature needs a dyck oracle")
     stack = walk(o.stepper, u)
     if stack is None:
-        raise InadmissibleBlockError(f"inadmissible block {u!r}")
+        raise InadmissibleBlockError(f"inadmissible block {format_block(u)}")
     return stack
 
 
 def _after(o, u) -> Stepper:
     """The oracle's stepper restarted at the state u leads to."""
     if not _admissible_unbounded(o, u):
-        raise InadmissibleBlockError(f"inadmissible block {u!r}")
+        raise InadmissibleBlockError(f"inadmissible block {format_block(u)}")
     return o.stepper.at(walk(o.stepper, u))
 
 
@@ -249,7 +250,7 @@ def _embed_in_concatenation(o, b):
                 alpha = ()
             beta = min(states, key=reskey)
             return alpha, beta
-    raise InadmissibleBlockError(f"inadmissible block {b!r}")
+    raise InadmissibleBlockError(f"inadmissible block {format_block(b)}")
 
 
 def parse_oracle(text: str, base_dir=".", path: str = "") -> ShiftOracle:

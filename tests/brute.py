@@ -43,6 +43,21 @@ def reachable(g, v):
     return {t for n in range(len(g.vertices)) for _, t in paths_from(g, v, n)}
 
 
+def least_focusing_word(g, max_len):
+    """Length-lexicographically least non-empty word whose paths, taken
+    from every vertex, all end at one vertex; None if there is none of
+    length <= max_len."""
+    for n in range(1, max_len + 1):
+        ends = {}
+        for v in g.vertices:
+            for w, t in paths_from(g, v, n):
+                ends.setdefault(w, set()).add(t)
+        focusing = [w for w, ts in ends.items() if len(ts) == 1]
+        if focusing:
+            return min(focusing, key=g.alphabet.block_key)
+    return None
+
+
 def essential_part(g):
     """(vertices, edges) left by deleting vertices with no in-edge or no
     out-edge, and their edges, until none is left."""

@@ -1,3 +1,5 @@
+import pytest
+
 from shiftlab.cli import main
 
 
@@ -55,6 +57,25 @@ def test_lang_blocks(capsys):
     assert "block 101" not in out
     assert "block 100" in out
     assert len(out.splitlines()) == 7
+
+
+def test_lang_on_a_stranded_vertex(capsys, tmp_path):
+    # B has no in-edge, so the shift is {0^inf}: 10 is no block of it
+    stranded = tmp_path / "stranded.graph"
+    stranded.write_text("alphabet 0 1\nvertex A\nvertex B\nedge A A 0\nedge B A 1\n")
+    status, out, _ = run(capsys, "lang", "blocks", str(stranded), "--max-len", "2")
+    assert (status, out) == (0, "block 00\n")
+    status, out, _ = run(capsys, "lang", "count", str(stranded), "--max-len", "2")
+    assert (status, out) == (0, "count 1 1\ncount 2 1\n")
+
+
+@pytest.mark.parametrize("argv, block", [
+    (("sync", "check", "even.graph", "101"), "101"),
+    (("sync", "half", "dyck2.oracle", "(]"), "(]"),
+])
+def test_inadmissible_block_error_renders_the_block(capsys, argv, block):
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (1, "", f"error: inadmissible block {block}\n")
 
 
 def test_sync_subcommands(capsys):

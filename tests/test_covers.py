@@ -100,6 +100,124 @@ def test_find_synchronizing_word_golden_and_even(graphs):
     assert find_synchronizing_word(graphs["full2"], 8) == ("0",)
 
 
+# Rings of the ROADMAP generator (0-edges i -> i+1 around a ring of 16,
+# plus a 1-edge from each vertex to a random target with probability
+# 0.8), drawn with random.Random(5016) and random.Random(1016).  Their
+# subset covers have 7765 and 8945 states, so a search whose states
+# grow with the cover, not with its image sets, takes minutes here.
+RING_5016 = """\
+alphabet 0 1
+vertex v0
+vertex v1
+vertex v10
+vertex v11
+vertex v12
+vertex v13
+vertex v14
+vertex v15
+vertex v2
+vertex v3
+vertex v4
+vertex v5
+vertex v6
+vertex v7
+vertex v8
+vertex v9
+edge v0 v1 0
+edge v1 v2 0
+edge v1 v4 1
+edge v10 v11 0
+edge v10 v9 1
+edge v11 v11 1
+edge v11 v12 0
+edge v12 v13 0
+edge v12 v7 1
+edge v13 v13 1
+edge v13 v14 0
+edge v14 v13 1
+edge v14 v15 0
+edge v15 v0 0
+edge v15 v6 1
+edge v2 v10 1
+edge v2 v3 0
+edge v3 v4 0
+edge v4 v1 1
+edge v4 v5 0
+edge v5 v11 1
+edge v5 v6 0
+edge v6 v11 1
+edge v6 v7 0
+edge v7 v2 1
+edge v7 v8 0
+edge v8 v5 1
+edge v8 v9 0
+edge v9 v10 0
+edge v9 v10 1
+"""
+
+RING_1016 = """\
+alphabet 0 1
+vertex v0
+vertex v1
+vertex v10
+vertex v11
+vertex v12
+vertex v13
+vertex v14
+vertex v15
+vertex v2
+vertex v3
+vertex v4
+vertex v5
+vertex v6
+vertex v7
+vertex v8
+vertex v9
+edge v0 v1 0
+edge v0 v12 1
+edge v1 v2 0
+edge v1 v5 1
+edge v10 v11 0
+edge v10 v7 1
+edge v11 v12 0
+edge v11 v8 1
+edge v12 v13 0
+edge v12 v14 1
+edge v13 v14 0
+edge v13 v7 1
+edge v14 v10 1
+edge v14 v15 0
+edge v15 v0 0
+edge v15 v4 1
+edge v2 v2 1
+edge v2 v3 0
+edge v3 v15 1
+edge v3 v4 0
+edge v4 v15 1
+edge v4 v5 0
+edge v5 v12 1
+edge v5 v6 0
+edge v6 v15 1
+edge v6 v7 0
+edge v7 v8 0
+edge v7 v8 1
+edge v8 v11 1
+edge v8 v9 0
+edge v9 v10 0
+edge v9 v10 1
+"""
+
+
+def test_fischer_cover_and_synchronizing_word_on_seeded_rings():
+    g = parse_graph(RING_5016)
+    assert len(fischer_cover(g).vertices) == 16
+    assert find_synchronizing_word(g, 12) == tuple("101110001101")
+    assert find_synchronizing_word(g, 11) is None
+    g = parse_graph(RING_1016)
+    assert len(fischer_cover(g).vertices) == 1
+    assert find_synchronizing_word(g, 14) == tuple("10111011111001")
+
+
 def test_synchronizing_verdicts(graphs):
     g = graphs["even"]
     assert is_synchronizing(g, ("1",)).status == SYNCHRONIZING

@@ -62,8 +62,10 @@ def test_dyck_signature_tracks_unmatched_openers():
     assert dyck_follower_signature(o, ("(", "[")) == ("(", "[")
     assert dyck_follower_signature(o, ("(", "[", "]")) == ("(",)
     assert dyck_follower_signature(o, (")", ")")) == ()
-    with pytest.raises(InadmissibleBlockError):
+    with pytest.raises(InadmissibleBlockError, match=r"^inadmissible block \(\]$"):
         dyck_follower_signature(o, ("(", "]"))
+    with pytest.raises(InadmissibleBlockError, match=r"^inadmissible block \[\)$"):
+        oracle_follower_equal(o, ("(",), ("[", ")"), 2)
 
 
 def test_dyck_equal_signatures_give_equal_followers():

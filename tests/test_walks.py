@@ -16,6 +16,7 @@ from brute import (
     dyck_admissible,
     essential_part,
     followers_equal,
+    least_focusing_word,
     least_path_word,
     path_words,
     reachable,
@@ -27,12 +28,21 @@ from shiftlab.core import (
     bfs,
     first_divergence,
     graph_stepper,
+    image_set,
+    is_irreducible,
     parse_graph,
     reach,
     strong_components,
     trim_to_essential,
 )
-from shiftlab.covers import languages_equal
+from shiftlab.covers import (
+    _merge_by_partition,
+    find_synchronizing_word,
+    fischer_cover,
+    follower_separation,
+    languages_equal,
+    subset_cover,
+)
 from shiftlab.oracle import (
     code_list_oracle,
     dyck_oracle_rank,
@@ -141,6 +151,28 @@ def test_bfs_words_against_enumeration(seed):
             assert keys == sorted(keys)  # discovery order is length-lex order
             for w, v in found:
                 assert w == least_path_word(g, src, v)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_find_synchronizing_word_against_enumeration(seed):
+    for g in map(trim_to_essential, _pair(seed)):
+        sc = subset_cover(g)
+        assert find_synchronizing_word(g, 6) == least_focusing_word(sc, 6)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fischer_cover_against_the_synchronizing_word_component(seed):
+    # the component of the merged subset cover around the image of a
+    # least synchronizing word, found by plain enumeration
+    for g in map(trim_to_essential, _pair(seed)):
+        if not is_irreducible(g):
+            continue
+        sc = subset_cover(g)
+        merged = _merge_by_partition(sc, follower_separation(sc))
+        (root,) = image_set(merged, least_focusing_word(sc, len(sc.vertices)))
+        comp = {v for v in reachable(merged, root) if root in reachable(merged, v)}
+        edges = [e for e in merged.edges if e[0] in comp and e[1] in comp]
+        assert fischer_cover(g) == LabeledGraph(g.alphabet, comp, edges)
 
 
 def test_bfs_is_breadth_first_and_yields_on_discovery():
