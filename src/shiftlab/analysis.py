@@ -31,7 +31,7 @@ from .core import (
 from .covers import (
     HOLDS,
     fischer_cover,
-    is_half_synchronizing,
+    _half_sync_sofic,
     _subset_automaton,
 )
 from .codes import (
@@ -50,7 +50,6 @@ from .errors import (
     NotIrreducibleError,
     NotSurjectiveError,
 )
-from .oracle import sofic_oracle
 
 AGREE_POSITIVE = "agree-positive"
 AGREE_NEGATIVE = "agree-negative"
@@ -737,13 +736,16 @@ def check_theorem_4_2(
     return TheoremReport("t42", status, facts, certificates)
 
 
-def _system_half_synchronized(oracle, graph, horizon, block_len):
-    for length in range(1, block_len + 1):
-        for m in iter_admissible_blocks(graph, length):
-            verdict = is_half_synchronizing(oracle, m, horizon)
-            if verdict.status == HOLDS:
-                return True
-    return False
+def _half_synchronizing(g, m, horizon) -> bool:
+    return _half_sync_sofic(g, m, horizon)[0].status == HOLDS
+
+
+def _system_half_synchronized(g, horizon, block_len):
+    return any(
+        _half_synchronizing(g, m, horizon)
+        for length in range(1, block_len + 1)
+        for m in iter_admissible_blocks(g, length)
+    )
 
 
 def check_theorem_3_3(
@@ -765,24 +767,20 @@ def check_theorem_3_3(
             INCONCLUSIVE,
             (("reason", "no hyperbolic certificate within bounds"),),
         )
-    f1 = _one_block(f)
-    dom_oracle = sofic_oracle(f1.domain)
-    cod_oracle = sofic_oracle(f.codomain)
+    dom = _one_block(f).domain
     facts = []
     disagreed = False
     dom_hs = cod_hs = False
     for h in horizons:
-        dom_hs = _system_half_synchronized(dom_oracle, f1.domain, h, block_len)
-        cod_hs = _system_half_synchronized(cod_oracle, f.codomain, h, block_len)
+        dom_hs = _system_half_synchronized(dom, h, block_len)
+        cod_hs = _system_half_synchronized(f.codomain, h, block_len)
         facts.append((f"domain-half-sync-h{h}", "yes" if dom_hs else "no"))
         facts.append((f"codomain-half-sync-h{h}", "yes" if cod_hs else "no"))
         if dom_hs != cod_hs:
             disagreed = True
     top = max(horizons)
-    word_verdict = is_half_synchronizing(cod_oracle, cert.word, top)
-    if word_verdict.status == HOLDS:
-        m_verdict = is_half_synchronizing(dom_oracle, cert.central_blocks[0], top)
-        proof_ok = m_verdict.status == HOLDS
+    if _half_synchronizing(f.codomain, cert.word, top):
+        proof_ok = _half_synchronizing(dom, cert.central_blocks[0], top)
         facts.append(("construction-block-half-sync", "yes" if proof_ok else "no"))
         if not proof_ok:
             disagreed = True

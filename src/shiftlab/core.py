@@ -484,13 +484,18 @@ def first_divergence(a: Stepper, b: Stepper, max_len=None):
 
     Breadth-first over pairs of states, each pair expanded once, so the
     search is exact at every bound and, with max_len None, decides
-    inclusion outright whenever the reachable pairs are finite.
+    inclusion outright whenever the reachable pairs are finite.  When
+    both walks share one step function, equal states read equal words,
+    so a pair of equal states is never expanded.
     """
     if a.start is None:
         return None
     if b.start is None:
         return ()
     symbols, step_a, step_b = a.alphabet.symbols, a.step, b.step
+    shared = step_a is step_b
+    if shared and a.start == b.start:
+        return None
     seen = {(a.start, b.start)}
     layer = [((), a.start, b.start)]
     depth = 0
@@ -505,7 +510,7 @@ def first_divergence(a: Stepper, b: Stepper, max_len=None):
                 t2 = step_b(t, sym)
                 if t2 is None:
                     return word + (sym,)
-                if (s2, t2) not in seen:
+                if (s2, t2) not in seen and not (shared and s2 == t2):
                     seen.add((s2, t2))
                     nxt.append((word + (sym,), s2, t2))
         layer = nxt

@@ -7,14 +7,18 @@ a right-resolving presentation of the same shift, language classes of
 its states decide follower-set equality exactly, and singleton images
 detect synchronizing words.
 
-Half-synchronizing verdicts are horizon-bounded by nature (the
-definition quantifies over an infinite left-transitive ray); the
-verdict records the horizon and, where the argument is horizon-free
-(sofic language classes, Dyck signatures), an exact flag.
+Half-synchronization of a sofic block m is decided on a right-resolving
+irreducible presentation P: g itself, or the Fischer automaton of g.  A
+left-transitive ray ending in m ends at one vertex v of P up to follower
+equality, any v where m can end, and has the follower set F(v) (Lind &
+Marcus 3.3).  Dominance: m holds exactly iff some such v has F(u) in
+F(v) for every such u.  Refutation: otherwise each v has a least word
+that m, but not the ray at v, can be followed by, and m is refuted iff
+all of them are within the horizon; else it holds at the horizon only.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
@@ -69,7 +73,7 @@ class HalfSyncVerdict:
     status: str
     block: Block
     horizon: int
-    transitive_ray_prefix: Optional[Block] = None  # present iff holds
+    transitive_ray_prefix: Optional[Block] = None  # iff holds, from is_half_synchronizing
     refutation: Optional[Block] = None  # present iff refuted
     exact: bool = False  # follower comparison was horizon-free
 
@@ -124,23 +128,22 @@ def _moore_classes(order, trans, alphabet):
     """Language classes of deterministic states: trans maps (state,
     symbol) to the successor, omitting dead moves, and two states fall
     in one class iff exactly the same words are readable from them.
-    Moore refinement from one class; dead successors are encoded as
-    class -1 and ids are numbered in order of first appearance."""
-    cls = {s: 0 for s in order}
+    Moore refinement from one class over state indices, where a dead
+    successor is the extra index n, of class -1; ids are numbered in
+    order of first appearance."""
+    n = len(order)
+    index = {s: i for i, s in enumerate(order)}
+    succ = [tuple(index.get(trans.get((s, sym)), n) for sym in alphabet) for s in order]
+    cls = [0] * n + [-1]
     while True:
         sig_ids = {}
-        new = {}
-        for s in order:
-            succ = []
-            for sym in alphabet:
-                t = trans.get((s, sym))
-                succ.append(-1 if t is None else cls[t])
-            sig = (cls[s], tuple(succ))
-            if sig not in sig_ids:
-                sig_ids[sig] = len(sig_ids)
-            new[s] = sig_ids[sig]
+        new = [
+            sig_ids.setdefault((c, tuple(map(cls.__getitem__, row))), len(sig_ids))
+            for c, row in zip(cls, succ)
+        ]
+        new.append(-1)
         if new == cls:
-            return cls
+            return dict(zip(order, cls))
         cls = new
 
 
@@ -183,7 +186,12 @@ def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
     singleton, is still reached by a non-empty word.
     """
     require_essential(g)
-    st = graph_stepper(subset_cover(g))
+    return _least_singleton_word(subset_cover(g), max_len)
+
+
+def _least_singleton_word(sc: LabeledGraph, max_len: int) -> Optional[Block]:
+    """find_synchronizing_word on the subset cover sc, built once."""
+    st = graph_stepper(sc)
     if st.start is None:
         return None
     found = bfs(None, lambda s: st.moves(st.start if s is None else s))
@@ -193,16 +201,6 @@ def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
             return None
         if len(s) == 1:
             return word
-    return None
-
-
-def _first_dead_extension(st, live_set, dead_set, length):
-    """Least word of exact `length` readable from live_set but not from
-    dead_set, or None."""
-    dead = st.at(dead_set)
-    for w, _ in iter_blocks(st.at(live_set), length):
-        if walk(dead, w) is None:
-            return w
     return None
 
 
@@ -223,26 +221,20 @@ def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncV
     order, trans = _subset_automaton(g)
     cls = _moore_classes(order, trans, g.alphabet)
     st = memoized(graph_stepper(g))
-    images = set()
-    for s in order:
-        t = walk(st.at(s), v)
-        if t is not None:
-            images.add(cls[t])
+    images = {cls[t] for s in order if (t := walk(st.at(s), v)) is not None}
     if len(images) == 1:
         return SyncVerdict(SYNCHRONIZING)
-    s_v = walk(st, v)
+    after_v = st.at(walk(st, v))
     for total in range(2, 2 * context_bound + 1):
-        for lu in range(1, min(context_bound, total - 1) + 1):
-            lw = total - lu
-            if lw < 1 or lw > context_bound:
-                continue
+        for lu in range(max(1, total - context_bound), min(context_bound, total - 1) + 1):
             for u, img_u in iter_blocks(st, lu):
                 s_uv = walk(st.at(img_u), v)
                 if s_uv is None:
                     continue
-                w = _first_dead_extension(st, s_v, s_uv, lw)
-                if w is not None:
-                    return SyncVerdict(NOT_SYNCHRONIZING, witness=(u, w))
+                # least w of length total - lu after v but not after uv
+                for w, _ in iter_blocks(after_v, total - lu):
+                    if walk(st.at(s_uv), w) is None:
+                        return SyncVerdict(NOT_SYNCHRONIZING, witness=(u, w))
     return SyncVerdict(NOT_SYNCHRONIZING)
 
 
@@ -278,7 +270,7 @@ def canonical_form(g: LabeledGraph) -> LabeledGraph:
     if not is_irreducible(g):
         raise NotIrreducibleError("canonical_form needs an irreducible presentation")
     sc = subset_cover(g)
-    alpha = find_synchronizing_word(g, max_len=len(sc.vertices))
+    alpha = _least_singleton_word(sc, len(sc.vertices))
     if alpha is None:
         raise SynchronizingWordNotFoundError(
             f"no synchronizing word of length <= {len(sc.vertices)}"
@@ -317,102 +309,94 @@ def languages_equal(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return follower_equal(graph_stepper(g1), graph_stepper(g2))
 
 
-def _shortest_path_word(g, src, dst) -> Optional[Block]:
-    """Least word labeling a path src -> dst (empty if src == dst)."""
-    return next((w for w, y in bfs(src, g.out_edges) if y == dst), None)
-
-
-def _connector_to_read(st, b) -> Block:
-    """Least word d such that b is readable after d from st.start."""
-    for d, s in bfs(st.start, st.moves):
-        if walk(st.at(s), b) is not None:
-            return d
-    raise NotIrreducibleError("cannot reach every admissible block; graph not irreducible")
-
-
-def _wrap_word(g, st, c) -> Block:
-    """Least word d such that (c + d) labels a cycle somewhere, making
-    the left-infinite repetition ...(c+d)(c+d) admissible."""
-    best = None
-    for x in g.vertices:
-        for y in walk(st.at(frozenset([x])), c) or ():
-            w = _shortest_path_word(g, y, x)
-            if w is None:
-                continue
-            key = (len(w), tuple(g.alphabet.index(s) for s in w))
-            if best is None or key < best[0]:
-                best = (key, w)
-    if best is None:
-        raise NotIrreducibleError("no cyclic return path; graph not irreducible")
-    return best[1]
-
-
-def _half_sync_sofic(o, m, horizon) -> HalfSyncVerdict:
-    g = o.graph
-    if not is_irreducible(g):
-        raise NotIrreducibleError("half-synchronization needs an irreducible presentation")
-    depth = min(horizon, o.horizon_budget)
-    blocks = list(iter_admissible_blocks(g, depth)) or [()]
-
-    # weave: every admissible block at the transitivity depth, joined
-    # by shortest connectors, read from the full vertex set
-    st = memoized(o.stepper)
-    parts = []
-    s = st.start
-    for b in blocks:
-        d = _connector_to_read(st.at(s), b)
-        parts.append(d)
-        parts.append(b)
-        s = walk(st.at(s), d + b)
-    c = tuple(itertools.chain.from_iterable(parts))
-
-    # make the weave cyclically repeatable and compute the stable
-    # vertex set of the left-infinite repetition
-    unit = c + _wrap_word(g, st, c)
-    t = st.start
-    reps = 0
-    while True:
-        t2 = walk(st.at(t), unit)
-        reps += 1
-        if t2 == t:
-            break
-        t = t2
-    t_star = t
-
+def _resolving_presentation(g: LabeledGraph) -> LabeledGraph:
+    """g when it is right-resolving, else its Fischer automaton: the
+    subset automaton merged by language classes (vertices named by
+    class id), restricted to the one component no edge leaves."""
+    if is_right_resolving(g):
+        return g
     order, trans = _subset_automaton(g)
     cls = _moore_classes(order, trans, g.alphabet)
-    s_m = walk(st, m)
-    target = cls[s_m]
+    moves = {}
+    for (s, sym), t in trans.items():
+        moves.setdefault(cls[s], {})[sym] = cls[t]
+    comp = strong_components(moves, lambda c: moves[c].values())[0]
+    edges = [(str(c), str(t), sym) for c in comp for sym, t in moves[c].items()]
+    return LabeledGraph(g.alphabet, map(str, comp), edges)
 
-    # shortest final connector from the stable set that aligns the
-    # follower class of the ray with that of m
-    f_match = None
-    f_any = None
-    for word, s in bfs(t_star, st.moves):
-        img = walk(st.at(s), m)
-        if img is not None:
-            if f_any is None:
-                f_any = (word, img)
-            if cls[img] == target:
-                f_match = (word, img)
-                break
 
-    if f_match is not None:
-        prefix = unit * reps + f_match[0] + m
-        return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=True)
-    assert f_any is not None, "m must be reachable, graph irreducible"
-    t_eff = f_any[1]
-    delta = first_divergence(st.at(s_m), st.at(t_eff))
-    assert delta is not None, "classes differ, a separating word exists"
-    if len(delta) <= horizon:
-        return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta)
-    prefix = unit * reps + f_any[0] + m
-    return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=False)
+def _follower_inclusion(p: LabeledGraph) -> set:
+    """Pairs (u, v) of vertices of the right-resolving p with F(u) in
+    F(v): the greatest relation where each move of u is matched by v
+    on its symbol into a related pair.  A refuted pair refutes each pair
+    stepping into it, so every (pair, symbol) is seen once: O(n^2 k)."""
+    labels = {v: {lab for lab, _ in p.out_edges(v)} for v in p.vertices}
+    pred = {v: {} for v in p.vertices}  # vertex -> label -> sources
+    for src, dst, lab in p.edges:
+        pred[dst].setdefault(lab, []).append(src)
+    pairs = list(itertools.product(p.vertices, repeat=2))
+    rel = {(u, v) for u, v in pairs if labels[u] <= labels[v]}
+    todo = [pair for pair in pairs if pair not in rel]
+    while todo:
+        x, y = todo.pop()
+        for sym, us in pred[x].items():
+            for v in pred[y].get(sym, ()):
+                for u in us:
+                    if (u, v) in rel:
+                        rel.remove((u, v))
+                        todo.append((u, v))
+    return rel
+
+
+def _half_sync_sofic(g: LabeledGraph, m: Block, horizon: int):
+    """The sofic decision (see the module docstring) on the essential,
+    irreducible g: (verdict without prefix, P, ends), where ends are the
+    vertices of P whose rays agree with m, exactly or to the horizon.
+    A refutation is the length-lex greatest least separating word."""
+    if not is_irreducible(g):
+        raise NotIrreducibleError("half-synchronization needs an irreducible presentation")
+    p = _resolving_presentation(g)
+    st = graph_stepper(p)
+    image = walk(st, m)
+    rel = _follower_inclusion(p)
+    ends = {v for v in image if all((u, v) in rel for u in image)}
+    if ends:
+        return HalfSyncVerdict(HOLDS, m, horizon, exact=True), p, ends
+    sep = {v: first_divergence(st.at(image), st.at(frozenset([v])), horizon) for v in image}
+    ends = {v for v, d in sep.items() if d is None}
+    if ends:
+        return HalfSyncVerdict(HOLDS, m, horizon), p, ends
+    worst = max(sep.values(), key=g.alphabet.block_key)
+    return HalfSyncVerdict(REFUTED, m, horizon, refutation=worst), p, ends
+
+
+def _ray_prefix(p: LabeledGraph, m: Block, depth: int, ends) -> Block:
+    """A word of p that contains every admissible block of length
+    `depth` and ends in an m that ends in `ends`.  The blocks, joined by
+    least connectors and closed into a cycle by the least return word,
+    make a unit, repeated until the vertex set it reaches is stable;
+    the least word from there to such an m follows."""
+    st = memoized(graph_stepper(p))
+    parts, s = [], st.start
+    for b in iter_admissible_blocks(p, depth):
+        d = next(d for d, x in bfs(s, st.moves) if walk(st.at(x), b) is not None)
+        parts += [d, b]
+        s = walk(st.at(s), d + b)
+    c = tuple(itertools.chain.from_iterable(parts))
+    returns = (
+        next(w for w, z in bfs(y, p.out_edges) if z == x)
+        for x in p.vertices
+        for y in walk(st.at(frozenset([x])), c) or ()
+    )
+    unit = c + min(returns, key=p.alphabet.block_key)
+    t, reps = st.start, 1
+    while (t2 := walk(st.at(t), unit)) != t:
+        t, reps = t2, reps + 1
+    f = next(w for w, x in bfs(t, st.moves) if not ends.isdisjoint(walk(st.at(x), m) or ()))
+    return unit * reps + f + m
 
 
 def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
-    depth = min(horizon, o.horizon_budget)
-    blocks = list(oracle_blocks(o, depth)) or [()]
     closer_of = dict(o.pairs)
 
     def closers(stack):
@@ -421,12 +405,10 @@ def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
 
     parts = []
     stack = ()
-    for b in blocks:
-        parts.append(closers(stack))
-        parts.append(b)
-        stack = walk(o.stepper, b)
-    parts.append(closers(stack))
-    parts.append(m)
+    for b, after in iter_blocks(o.stepper, min(horizon, o.horizon_budget)):
+        parts += [closers(stack), b]
+        stack = after
+    parts += [closers(stack), m]
     prefix = tuple(itertools.chain.from_iterable(parts))
     # closing the stack before m gives the prefix the signature of m
     # itself, and equal signatures have equal follower sets at every
@@ -456,19 +438,28 @@ def _half_sync_code(o, m, horizon) -> HalfSyncVerdict:
 
 
 def is_half_synchronizing(o: ShiftOracle, m: Block, horizon: int) -> HalfSyncVerdict:
-    """Horizon-bounded test of the half-synchronizing block property.
+    """Is m half-synchronizing: does some left-transitive ray ending in
+    m have the follower set of m itself?
 
-    Constructs a left context that ends in m and contains every
-    admissible block up to min(horizon, budget), then checks that
-    every continuation of m up to the horizon also continues the
-    constructed context.  The sofic check compares follower classes
-    exactly and the Dyck check compares signatures, so their positive
-    verdicts carry exact=True; code_list verdicts are window-based.
+    Sofic oracles are decided by follower dominance on a right-resolving
+    presentation (see `_half_sync_sofic`): holds exactly iff a vertex
+    where m can end dominates every other such vertex; otherwise
+    refuted iff every possible ray is separated from m by a word within
+    the horizon, reporting the length-lex greatest of those least
+    separating words, and else holds, not exactly.  Dyck verdicts
+    compare signatures and are exact; code_list verdicts are
+    window-based.  A holding verdict carries a transitive-ray prefix:
+    an admissible word ending in m that contains every admissible
+    block of length min(horizon, budget).
     """
     if not _admissible_unbounded(o, m):
         raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
-    if o.kind == SOFIC:
-        return _half_sync_sofic(o, m, horizon)
     if o.kind == DYCK:
         return _half_sync_dyck(o, m, horizon)
-    return _half_sync_code(o, m, horizon)
+    if o.kind != SOFIC:
+        return _half_sync_code(o, m, horizon)
+    verdict, p, ends = _half_sync_sofic(o.graph, m, horizon)
+    if verdict.status == REFUTED:
+        return verdict
+    prefix = _ray_prefix(p, m, min(horizon, o.horizon_budget), ends)
+    return replace(verdict, transitive_ray_prefix=prefix)

@@ -95,6 +95,15 @@ def followers_equal(g, u, v, depth):
     return True
 
 
+def follower_included(g, u, v, n):
+    """Whether every word of length <= n labeling a path from vertex u
+    also labels a path from vertex v."""
+    return all(
+        {w for w, _ in paths_from(g, u, k)} <= {w for w, _ in paths_from(g, v, k)}
+        for k in range(1, n + 1)
+    )
+
+
 def dyck_reduce(pairs, w):
     """Cancel adjacent matched pairs until nothing cancels."""
     match = {o: c for o, c in pairs}

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from brute import preimage_blocks
+from shiftlab import covers
 from shiftlab.analysis import (
     AGREE_NEGATIVE,
     AGREE_POSITIVE,
@@ -35,6 +37,7 @@ from shiftlab.errors import (
     NotFiniteToOneError,
     NotSurjectiveError,
 )
+from shiftlab.oracle import sofic_oracle
 
 FULL1 = "alphabet a\nvertex A\nedge A A a\n"
 
@@ -255,6 +258,25 @@ def test_theorem_3_3(maps):
         assert rep.status == AGREE_POSITIVE
         facts = dict(rep.facts)
         assert facts["construction-block-half-sync"] == "yes"
+
+
+def _xor_of(k, g):
+    """Sum mod 2 of k adjacent symbols, on the full 2-shift g."""
+    wm = {w: str(sum(map(int, w)) % 2) for w in itertools.product("01", repeat=k)}
+    return FactorMap(BlockCode(0, k - 1, wm, g.alphabet, g.alphabet), g, g)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_theorem_3_3_builds_no_ray_prefix(graphs, monkeypatch, k):
+    built = []
+    monkeypatch.setattr(covers, "_ray_prefix", lambda *args: built.append(args))
+    rep = check_theorem_3_3(_xor_of(k, graphs["full2"]))
+    assert rep.status == AGREE_POSITIVE
+    assert dict(rep.facts)["construction-block-half-sync"] == "yes"
+    assert built == []
+    # the counter sees the prefix a holding verdict of the CLI builds
+    covers.is_half_synchronizing(sofic_oracle(graphs["full2"]), ("0",), 4)
+    assert len(built) == 1
 
 
 def test_theorem_3_3_report_lines(maps):

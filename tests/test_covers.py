@@ -1,7 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brute import followers_equal, path_words, reads
-from shiftlab.core import blocks_of_length, is_admissible, parse_graph
+from brute import follower_included, followers_equal, path_words, reads
+from shiftlab import covers
+from shiftlab.core import (
+    Alphabet,
+    LabeledGraph,
+    blocks_of_length,
+    graph_stepper,
+    is_admissible,
+    parse_graph,
+    trim_to_essential,
+    walk,
+)
 from shiftlab.covers import (
     HOLDS,
     NOT_SYNCHRONIZING,
@@ -271,10 +283,13 @@ def test_half_sync_golden_holds(graphs):
 
 
 def test_half_sync_even_zero_refuted(graphs):
+    # 0 and 00 end at either parity: 1 separates the ray at odd parity,
+    # 01 the ray at even parity, which agrees longer and is reported
     o = sofic_oracle(graphs["even"])
-    v = is_half_synchronizing(o, ("0",), 8)
-    assert v.status == REFUTED
-    assert v.refutation == ("0", "1")
+    for m in (("0",), ("0", "0")):
+        v = is_half_synchronizing(o, m, 8)
+        assert v.status == REFUTED
+        assert v.refutation == ("0", "1")
 
 
 def test_half_sync_even_one_holds_exactly(graphs):
@@ -299,3 +314,126 @@ def test_half_sync_prefix_contains_all_short_blocks(graphs):
     text = "".join(v.transitive_ray_prefix)
     for w in blocks_of_length(g, 6):
         assert "".join(w) in text
+
+
+FORK = """alphabet 0 1 2
+vertex v0
+vertex v1
+vertex v2
+edge v0 v1 1
+edge v0 v0 2
+edge v1 v2 2
+edge v2 v0 1
+edge v2 v0 2
+"""
+
+
+def test_half_sync_refutes_only_when_every_ray_is_separated():
+    # 2 ends at v0 or v2; 11 follows the ray at v2 but not the one at
+    # v0, and 1211 the ray at v0 but not the one at v2.  So up to
+    # horizon 3 the ray at v2 agrees with 2, and from horizon 4 on
+    # every ray is separated, by 1211 at the latest
+    g = parse_graph(FORK)
+    o = sofic_oracle(g)
+    assert follower_included(g, "v0", "v2", 3) and not follower_included(g, "v0", "v2", 4)
+    assert not follower_included(g, "v2", "v0", 2)
+    for h in (2, 3):
+        v = is_half_synchronizing(o, ("2",), h)
+        assert (v.status, v.exact, v.refutation) == (HOLDS, False, None)
+        assert v.transitive_ray_prefix[-1:] == ("2",)
+        assert followers_equal(g, v.transitive_ray_prefix, ("2",), h)
+    for h in (4, 8):
+        v = is_half_synchronizing(o, ("2",), h)
+        assert (v.status, v.refutation) == (REFUTED, ("1", "2", "1", "1"))
+
+
+def test_half_sync_exact_verdict_does_not_depend_on_the_horizon():
+    # 1 is refuted by 01 from horizon 2 on, so no horizon calls it exact
+    g = parse_graph(
+        "alphabet 0 1 2\nvertex v0\nvertex v1\nvertex v2\nvertex v3\n"
+        "edge v0 v1 0\nedge v0 v2 0\nedge v0 v1 1\nedge v1 v3 0\n"
+        "edge v1 v3 1\nedge v2 v3 0\nedge v3 v0 0\n"
+    )
+    o = sofic_oracle(g)
+    v = is_half_synchronizing(o, ("1",), 1)
+    assert (v.status, v.exact) == (HOLDS, False)
+    for h in range(2, 9):
+        v = is_half_synchronizing(o, ("1",), h)
+        assert (v.status, v.refutation) == (REFUTED, ("0", "1"))
+
+
+def test_half_sync_on_right_resolving_input_builds_no_subset_automaton(graphs, monkeypatch):
+    calls = []
+    real = covers._subset_automaton
+    monkeypatch.setattr(covers, "_subset_automaton", lambda g: calls.append(g) or real(g))
+    for name in ("golden", "even", "even4", "full2", "evenedge"):
+        g = graphs[name]
+        assert is_right_resolving(g)
+        for m in blocks_of_length(g, 1) + blocks_of_length(g, 2):
+            is_half_synchronizing(sofic_oracle(g), m, 8)
+    assert calls == []
+    # the counter sees the subset automaton a presentation that is not
+    # right-resolving needs
+    is_half_synchronizing(sofic_oracle(graphs["goldennd"]), ("0",), 8)
+    assert len(calls) == 1
+
+
+BINARY = Alphabet(("0", "1"))
+
+
+@st.composite
+def _irreducible_graphs(draw):
+    """A ring through every vertex, so the graph is irreducible, plus
+    random extra edges; often not right-resolving."""
+    n = draw(st.integers(1, 4))
+    vs = [f"v{i}" for i in range(n)]
+    labels = st.sampled_from(BINARY.symbols)
+    edges = {(vs[i], vs[(i + 1) % n], draw(labels)) for i in range(n)}
+    extra = st.tuples(st.sampled_from(vs), st.sampled_from(vs), labels)
+    edges |= set(draw(st.lists(extra, max_size=2 * n)))
+    return LabeledGraph(BINARY, vs, edges)
+
+
+def _out_split(g):
+    """Split v0 into two copies sharing its in-edges, its out-edges
+    dealt out alternately: the same shift."""
+    outs = [e for e in g.edges if e[0] == "v0"]
+    side = {e: ("v0x", "v0y")[i % 2] for i, e in enumerate(outs)}
+    edges = []
+    for e in g.edges:
+        srcs = [side[e]] if e[0] == "v0" else [e[0]]
+        dsts = ["v0x", "v0y"] if e[1] == "v0" else [e[1]]
+        edges += [(x, y, e[2]) for x in srcs for y in dsts]
+    vs = [v for v in g.vertices if v != "v0"] + ["v0x", "v0y"]
+    return trim_to_essential(LabeledGraph(g.alphabet, vs, edges))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_irreducible_graphs(), st.data())
+def test_half_sync_dominance_property(g, data):
+    m = data.draw(st.sampled_from(blocks_of_length(g, 1) + blocks_of_length(g, 2)))
+    h = data.draw(st.integers(1, 4))
+    v, p, ends = covers._half_sync_sofic(g, m, h)
+    image = walk(graph_stepper(p), m)
+
+    def agrees(x, n):
+        return all(follower_included(p, u, x, n) for u in image)
+
+    # against enumeration on the resolving presentation
+    if v.status == REFUTED:
+        assert not any(agrees(x, h) for x in image)
+        assert reads(g, m + v.refutation) and 0 < len(v.refutation) <= h
+    elif v.exact:
+        assert ends and all(agrees(x, 8) for x in ends)
+    else:
+        assert ends == {x for x in image if agrees(x, h)} != set()
+    # the prefix ends the ray: read as a word it is followed by what m
+    # is, at every length when exact, else up to the horizon
+    if v.status == HOLDS:
+        prefix = is_half_synchronizing(sofic_oracle(g), m, h).transitive_ray_prefix
+        assert prefix[len(prefix) - len(m):] == m and reads(g, prefix)
+        assert followers_equal(g, prefix, m, 6 if v.exact else h)
+    # the verdict belongs to the shift, not to its presentation
+    for other in (fischer_cover(g), _out_split(g)):
+        w = covers._half_sync_sofic(other, m, h)[0]
+        assert (w.status, w.exact, w.refutation) == (v.status, v.exact, v.refutation)

@@ -15,6 +15,7 @@ from brute import (
     concatenation_factor,
     dyck_admissible,
     essential_part,
+    follower_included,
     followers_equal,
     least_focusing_word,
     least_path_word,
@@ -30,12 +31,14 @@ from shiftlab.core import (
     graph_stepper,
     image_set,
     is_irreducible,
+    is_right_resolving,
     parse_graph,
     reach,
     strong_components,
     trim_to_essential,
 )
 from shiftlab.covers import (
+    _follower_inclusion,
     _merge_by_partition,
     find_synchronizing_word,
     fischer_cover,
@@ -173,6 +176,18 @@ def test_fischer_cover_against_the_synchronizing_word_component(seed):
         comp = {v for v in reachable(merged, root) if root in reachable(merged, v)}
         edges = [e for e in merged.edges if e[0] in comp and e[1] in comp]
         assert fischer_cover(g) == LabeledGraph(g.alphabet, comp, edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_follower_inclusion_against_enumeration(seed):
+    # on the graph itself when it is right-resolving, else on its
+    # subset cover; the least witness of a non-inclusion in these
+    # graphs is at most 3 symbols long, so depth 8 decides every pair
+    for g in map(trim_to_essential, _pair(seed)):
+        p = g if is_right_resolving(g) else subset_cover(g)
+        rel = _follower_inclusion(p)
+        for u, v in itertools.product(p.vertices, repeat=2):
+            assert ((u, v) in rel) == follower_included(p, u, v, 8)
 
 
 def test_bfs_is_breadth_first_and_yields_on_discovery():
