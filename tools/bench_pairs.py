@@ -16,6 +16,7 @@ won; per layer, the traced metrics of both trees.  Stdlib only.
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -63,7 +64,8 @@ def main(argv=None):
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     trees = {"parent": args.parent, "change": args.change}
     report = {
-        "machine": f"{platform.machine()}, {platform.python_implementation()} {platform.python_version()}",
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.python_implementation()} "
+                   f"{platform.python_version()}",
         "pairs": args.pairs, "seconds": args.seconds, "seeds": [args.seed, args.seed + args.pairs - 1],
         "workloads": {},
     }
