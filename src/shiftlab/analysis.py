@@ -31,6 +31,7 @@ from .core import (
 from .covers import (
     HOLDS,
     fischer_cover,
+    _essential_subsets,
     _half_sync_sofic,
     _subset_automaton,
 )
@@ -444,25 +445,6 @@ def verify_decoder_block(f: FactorMap, w: Block, k: int, horizon: int = 10) -> b
     return True
 
 
-def _limit_sets(img):
-    """Subset-automaton states of the image presentation reachable from
-    the full vertex set by arbitrarily long image words: exactly the
-    states reachable from a cycle.  These are the possible constraint
-    sets an infinite image past (or future, on the reversed graph)
-    leaves behind."""
-    nodes, trans = _subset_automaton(img)
-    succ = {s: set() for s in nodes}
-    for (s, _), t in trans.items():
-        succ[s].add(t)
-    on_cycle = [
-        s
-        for comp in strong_components(nodes, succ.__getitem__)
-        if len(comp) > 1 or comp[0] in succ[comp[0]]
-        for s in comp
-    ]
-    return reach(on_cycle, succ.__getitem__)
-
-
 def _central_window_set(image_out, w, n, k, fset, pset):
     """All (F, P) limit-set combinations give the central label
     windows of w-reading paths from F into P; returns the list of
@@ -584,8 +566,9 @@ def find_hyperbolic_certificate(
     image_out = _image_out(g, phi)
     img = image_presentation(f1)
     rev = LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges])
-    fset = sorted(_limit_sets(img), key=sorted)
-    pset = sorted(_limit_sets(rev), key=sorted)
+    # the constraint sets an infinite image past (future) leaves behind
+    fset = sorted(_essential_subsets(img)[0], key=sorted)
+    pset = sorted(_essential_subsets(rev)[0], key=sorted)
     for length in range(1, word_bound + 1, 2):
         n = (length - 1) // 2
         for w in iter_admissible_blocks(f.codomain, length):

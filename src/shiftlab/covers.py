@@ -1,14 +1,18 @@
 """Follower-set determinization, Fischer covers, and synchronization.
 
-The central tool is the subset automaton of a presentation: states are
-the vertex sets reachable as image_set(g, w) over admissible w, and
-an a-labeled edge maps S to image_set(g, a, S).  Its essential part is
-a right-resolving presentation of the same shift, language classes of
-its states decide follower-set equality exactly, and singleton images
-detect synchronizing words.
+The subset automaton's states are the vertex sets image_set(g, w) over
+admissible w; an a-labeled edge maps S to image_set(g, a, S).  One
+construction, `_fischer_automaton`, merges by language class the states
+of g itself when g is irreducible and right-resolving, else those of the
+subset automaton's essential part, and on irreducible g keeps the one
+component no edge leaves: the Fischer automaton.  `fischer_cover` names
+a class by its vertex set on right-resolving input, else by the least
+subset-cover name among its sets.  One-class rule: v is synchronizing
+iff walking v from every class ends in one class; `context_bound` limits
+only the refutation witness.
 
 Half-synchronization of a sofic block m is decided on a right-resolving
-irreducible presentation P: g itself, or the Fischer automaton of g.  A
+irreducible presentation P: g itself, or its Fischer cover.  A
 left-transitive ray ending in m ends at one vertex v of P up to follower
 equality, any v where m can end, and has the follower set F(v) (Lind &
 Marcus 3.3).  Dominance: m holds exactly iff some such v has F(u) in
@@ -24,12 +28,12 @@ from typing import Optional
 from .core import (
     Block,
     LabeledGraph,
+    Stepper,
     bfs,
     first_divergence,
     follower_equal,
     format_block,
     graph_stepper,
-    image_set,
     is_admissible,
     is_irreducible,
     is_right_resolving,
@@ -43,9 +47,9 @@ from .core import (
 )
 from .errors import (
     InadmissibleBlockError,
+    InvariantError,
     NotIrreducibleError,
     NotRightResolvingError,
-    SynchronizingWordNotFoundError,
 )
 from .oracle import (
     DYCK,
@@ -105,6 +109,24 @@ def _subset_automaton(g):
     return order, trans
 
 
+def _essential_subsets(g):
+    """(states, trans) of the subset automaton, its states cut to those
+    on or after a cycle, the states long words reach, in discovery
+    order: peeling the states no edge enters leaves exactly those."""
+    order, trans = _subset_automaton(g)
+    indeg = dict.fromkeys(order, 0)
+    for t in trans.values():
+        indeg[t] += 1
+    todo = [s for s in order if not indeg[s]]
+    while todo:
+        s = todo.pop()
+        for t in filter(None, (trans.get((s, sym)) for sym in g.alphabet)):
+            indeg[t] -= 1
+            if not indeg[t]:
+                todo.append(t)
+    return [s for s in order if indeg[s]], trans
+
+
 def _set_name(s) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
@@ -116,12 +138,10 @@ def subset_cover(g: LabeledGraph) -> LabeledGraph:
     essential part of the reachable subset automaton.
     """
     require_essential(g)
-    order, trans = _subset_automaton(g)
-    vertices = [_set_name(s) for s in order]
-    edges = [
-        (_set_name(s), _set_name(t), sym) for (s, sym), t in trans.items()
-    ]
-    return trim_to_essential(LabeledGraph(g.alphabet, vertices, edges))
+    order, trans = _essential_subsets(g)
+    edges = [(_set_name(s), _set_name(trans[s, sym]), sym)
+             for s in order for sym in g.alphabet if (s, sym) in trans]
+    return LabeledGraph(g.alphabet, map(_set_name, order), edges)
 
 
 def _moore_classes(order, trans, alphabet):
@@ -164,39 +184,53 @@ def follower_separation(g: LabeledGraph):
     return tuple(tuple(sorted(grp)) for grp in sorted(groups.values()))
 
 
-def _merge_by_partition(g: LabeledGraph, partition) -> LabeledGraph:
-    """Quotient graph; each class is named by its least member."""
-    rep = {}
-    for grp in partition:
-        name = min(grp)
-        for v in grp:
-            rep[v] = name
-    edges = {(rep[src], rep[dst], lab) for src, dst, lab in g.edges}
-    return LabeledGraph(g.alphabet, sorted(set(rep.values())), sorted(edges))
+def _fischer_automaton(g: LabeledGraph):
+    """The follower quotient of a deterministic automaton for the
+    essential g: (moves, members), moves mapping each language class to
+    its {symbol: class} and members listing each class's states.  The
+    automaton is g itself when g is irreducible and right-resolving, else
+    `_essential_subsets`.  On irreducible g the quotient is cut to the
+    component Tarjan closes first, the one no edge leaves: it holds the
+    follower set of a synchronizing word, which every class reaches, so
+    it is the Fischer automaton (Lind & Marcus 3.3).
+    """
+    irreducible = is_irreducible(g)
+    if irreducible and is_right_resolving(g):
+        order = g.vertices
+        trans = {(v, lab): dst for v in order for lab, dst in g.out_edges(v)}
+    else:
+        order, trans = _essential_subsets(g)
+    cls = _moore_classes(order, trans, g.alphabet)
+    moves = {cls[s]: {a: cls[t] for a in g.alphabet if (t := trans.get((s, a)))} for s in order}
+    members = {}
+    for s in order:
+        members.setdefault(cls[s], []).append(s)
+    if irreducible:
+        comp = strong_components(moves, lambda c: moves[c].values())[0]
+        moves = {c: moves[c] for c in comp}
+    return moves, members
+
+
+def _nonempty_images(st: Stepper):
+    """(least word, state) for every state st reaches by a non-empty
+    word, in `bfs` order.  The search starts at a root before the first
+    symbol, so the start state comes only if a non-empty word leads
+    back to it."""
+    if st.start is None:
+        return
+    found = bfs(None, lambda s: st.moves(st.start if s is None else s))
+    next(found)  # the root
+    yield from found
 
 
 def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
     """Length-lexicographically least non-empty admissible block whose
     image in the subset cover is a single vertex, or None if there is
-    none of length <= max_len.
-
-    `bfs` over the image sets of the subset cover yields each set with
-    its least word, in that order.  It starts at a root before the
-    first symbol, so in a one-vertex cover the start set, already a
-    singleton, is still reached by a non-empty word.
+    none of length <= max_len.  `bfs` over the image sets of the subset
+    cover yields each set with its least word, in that order.
     """
     require_essential(g)
-    return _least_singleton_word(subset_cover(g), max_len)
-
-
-def _least_singleton_word(sc: LabeledGraph, max_len: int) -> Optional[Block]:
-    """find_synchronizing_word on the subset cover sc, built once."""
-    st = graph_stepper(sc)
-    if st.start is None:
-        return None
-    found = bfs(None, lambda s: st.moves(st.start if s is None else s))
-    next(found)  # the root
-    for word, s in found:
+    for word, s in _nonempty_images(graph_stepper(subset_cover(g))):
         if len(word) > max_len:
             return None
         if len(s) == 1:
@@ -205,86 +239,79 @@ def _least_singleton_word(sc: LabeledGraph, max_len: int) -> Optional[Block]:
 
 
 def is_synchronizing(g: LabeledGraph, v: Block, context_bound: int = 8) -> SyncVerdict:
-    """Exact synchronizing-block test.
+    """Exact synchronizing-block test, for every essential presentation.
 
     v is synchronizing iff uv, vw admissible always implies uvw
-    admissible; equivalently, iff the follower language after uv is
-    independent of u.  The test compares language classes of v-images
-    over every reachable subset, which is exact for any presentation,
-    right-resolving or not.  context_bound only limits the refutation
-    witness search: a NOT_SYNCHRONIZING verdict carries no witness when
-    none has both context words within the bound.
+    admissible: by the one-class rule, iff walking v from every class of
+    `_fischer_automaton` ends in one class.  context_bound limits only
+    the witness, the least (u, w) by (|u| + |w|, |u|, u, w) with both of
+    1 to context_bound symbols, absent when no such pair exists.
+    Per set T that uv reaches, the least u comes first in a bfs over
+    image sets, and the least w is a first divergence from T after v.
     """
     require_essential(g)
     if not is_admissible(g, v):
         raise InadmissibleBlockError(f"inadmissible block {format_block(v)}")
-    order, trans = _subset_automaton(g)
-    cls = _moore_classes(order, trans, g.alphabet)
-    st = memoized(graph_stepper(g))
-    images = {cls[t] for s in order if (t := walk(st.at(s), v)) is not None}
-    if len(images) == 1:
+    moves, _ = _fischer_automaton(g)
+    classes = Stepper(g.alphabet, None, lambda c, sym: moves[c].get(sym))
+    if len({walk(classes.at(c), v) for c in moves} - {None}) == 1:
         return SyncVerdict(SYNCHRONIZING)
+    st = memoized(graph_stepper(g))
     after_v = st.at(walk(st, v))
-    for total in range(2, 2 * context_bound + 1):
-        for lu in range(max(1, total - context_bound), min(context_bound, total - 1) + 1):
-            for u, img_u in iter_blocks(st, lu):
-                s_uv = walk(st.at(img_u), v)
-                if s_uv is None:
-                    continue
-                # least w of length total - lu after v but not after uv
-                for w, _ in iter_blocks(after_v, total - lu):
-                    if walk(st.at(s_uv), w) is None:
-                        return SyncVerdict(NOT_SYNCHRONIZING, witness=(u, w))
-    return SyncVerdict(NOT_SYNCHRONIZING)
+    key = g.alphabet.block_key
+    found, seen = [], set()
+    for u, s in _nonempty_images(st):
+        if len(u) > context_bound or found and len(u) + 1 > min(found)[0]:
+            break
+        t = walk(st.at(s), v)
+        if t is not None and t not in seen:
+            seen.add(t)
+            if (w := first_divergence(after_v, st.at(t), context_bound)) is not None:
+                found.append((len(u) + len(w), key(u), key(w), (u, w)))
+    return SyncVerdict(NOT_SYNCHRONIZING, witness=min(found)[3] if found else None)
 
 
 def fischer_cover(g: LabeledGraph) -> LabeledGraph:
-    """Minimal right-resolving presentation of an irreducible sofic shift.
+    """Minimal right-resolving presentation of an irreducible sofic shift:
+    the follower quotient of `_fischer_automaton`, with named vertices.
 
-    Subset cover, then follower-set merging, then restriction to the
-    follower sets of synchronizing words.  Those are reached from every
-    state and closed under every symbol, so they form the one component
-    no edge leaves, and Tarjan closes that component first.  Idempotent
-    up to canonical isomorphism.
+    On right-resolving input a class of vertices is named by its vertex
+    set, as `{A,C}`; otherwise a class of vertex sets is named by the
+    least subset-cover name among them.  Idempotent up to canonical
+    isomorphism.  `is_synchronizing` applies the one-class rule to the
+    same quotient; its context_bound limits only the witness.
     """
     require_essential(g)
     if not is_irreducible(g):
         raise NotIrreducibleError("fischer_cover needs an irreducible presentation")
-    sc = subset_cover(g)
-    merged = _merge_by_partition(sc, follower_separation(sc))
-    succ = {x: [dst for _, dst in merged.out_edges(x)] for x in merged.vertices}
-    comp = set(strong_components(merged.vertices, succ.__getitem__)[0])
-    edges = [e for e in merged.edges if e[0] in comp and e[1] in comp]
-    return LabeledGraph(g.alphabet, comp, edges)
+    moves, members = _fischer_automaton(g)
+    if is_right_resolving(g):
+        name = {c: _set_name(members[c]) for c in moves}
+    else:
+        name = {c: min(map(_set_name, members[c])) for c in moves}
+    edges = [(name[c], name[t], sym) for c, row in moves.items() for sym, t in row.items()]
+    return LabeledGraph(g.alphabet, name.values(), edges)
 
 
 def canonical_form(g: LabeledGraph) -> LabeledGraph:
     """Canonical relabeling of a minimal right-resolving irreducible cover.
 
-    The root is the (single) image vertex of the least synchronizing
-    word; vertices are renamed in breadth-first discovery order from
+    The root is the one vertex the least non-empty word that focuses g
+    leads to; vertices are renamed in breadth-first discovery order from
     the root, following the alphabet order.  Two minimal covers are
-    isomorphic iff their canonical forms are equal.
+    isomorphic iff their canonical forms are equal.  Input that is not
+    right-resolving and follower-separated raises ValueError.
     """
     require_essential(g)
     if not is_irreducible(g):
         raise NotIrreducibleError("canonical_form needs an irreducible presentation")
-    sc = subset_cover(g)
-    alpha = _least_singleton_word(sc, len(sc.vertices))
-    if alpha is None:
-        raise SynchronizingWordNotFoundError(
-            f"no synchronizing word of length <= {len(sc.vertices)}"
-        )
-    root_set = image_set(g, alpha)
-    if len(root_set) != 1:
-        raise ValueError(
-            "input is not a minimal cover: its least synchronizing word"
-            f" ends at {len(root_set)} vertices"
-        )
+    if not is_right_resolving(g) or any(len(c) > 1 for c in follower_separation(g)):
+        raise ValueError("input is not a minimal cover: not right-resolving or not follower-separated")
+    # a right-resolving follower-separated graph has a focusing word
+    # (Lind & Marcus 3.3.16), and bfs visits every image set
+    (root,) = next(s for _, s in _nonempty_images(graph_stepper(g)) if len(s) == 1)
     width = len(str(max(len(g.vertices) - 1, 1)))
-    names = {
-        x: f"{i:0{width}d}" for i, (_, x) in enumerate(bfs(root_set[0], g.out_edges))
-    }
+    names = {x: f"{i:0{width}d}" for i, (_, x) in enumerate(bfs(root, g.out_edges))}
     edges = [(names[src], names[dst], lab) for src, dst, lab in g.edges]
     return LabeledGraph(g.alphabet, names.values(), edges)
 
@@ -307,22 +334,6 @@ def languages_equal(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     if g1.alphabet != g2.alphabet:
         return False
     return follower_equal(graph_stepper(g1), graph_stepper(g2))
-
-
-def _resolving_presentation(g: LabeledGraph) -> LabeledGraph:
-    """g when it is right-resolving, else its Fischer automaton: the
-    subset automaton merged by language classes (vertices named by
-    class id), restricted to the one component no edge leaves."""
-    if is_right_resolving(g):
-        return g
-    order, trans = _subset_automaton(g)
-    cls = _moore_classes(order, trans, g.alphabet)
-    moves = {}
-    for (s, sym), t in trans.items():
-        moves.setdefault(cls[s], {})[sym] = cls[t]
-    comp = strong_components(moves, lambda c: moves[c].values())[0]
-    edges = [(str(c), str(t), sym) for c in comp for sym, t in moves[c].items()]
-    return LabeledGraph(g.alphabet, map(str, comp), edges)
 
 
 def _follower_inclusion(p: LabeledGraph) -> set:
@@ -355,7 +366,7 @@ def _half_sync_sofic(g: LabeledGraph, m: Block, horizon: int):
     A refutation is the length-lex greatest least separating word."""
     if not is_irreducible(g):
         raise NotIrreducibleError("half-synchronization needs an irreducible presentation")
-    p = _resolving_presentation(g)
+    p = g if is_right_resolving(g) else fischer_cover(g)
     st = graph_stepper(p)
     image = walk(st, m)
     rel = _follower_inclusion(p)
@@ -400,8 +411,12 @@ def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
     closer_of = dict(o.pairs)
 
     def closers(stack):
-        """Closers that empty the stack, top first."""
-        return tuple(closer_of[sym] for sym in reversed(stack))
+        """Closers that empty the stack, top first: then the prefix has
+        m's signature, so m's follower set at every horizon."""
+        c = tuple(closer_of[sym] for sym in reversed(stack))
+        if walk(o.stepper.at(stack), c) != ():
+            raise InvariantError(f"{format_block(c)} does not empty the stack {format_block(stack)}")
+        return c
 
     parts = []
     stack = ()
@@ -410,10 +425,6 @@ def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
         stack = after
     parts += [closers(stack), m]
     prefix = tuple(itertools.chain.from_iterable(parts))
-    # closing the stack before m gives the prefix the signature of m
-    # itself, and equal signatures have equal follower sets at every
-    # horizon, so the verdict is horizon-free
-    assert walk(o.stepper, prefix) == walk(o.stepper, m)
     return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=True)
 
 

@@ -82,5 +82,9 @@ class BudgetExceededError(ShiftlabError):
     """An oracle or search ran past its configured horizon budget."""
 
 
+class InvariantError(ShiftlabError):
+    """A construction broke a property it guarantees: a bug, not bad input."""
+
+
 class OracleKindError(ShiftlabError):
     """An oracle of the wrong kind was passed to an operation."""

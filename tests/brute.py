@@ -86,6 +86,55 @@ def reads(g, w):
     return True
 
 
+def readable_from(g, start, n):
+    """{word: end vertices} for every word of 1 to n symbols that labels
+    a path from a vertex in `start`, listed symbol by symbol."""
+    found, layer = {}, {(): set(start)}
+    for _ in range(n):
+        nxt = {}
+        for w, ends in layer.items():
+            for x in ends:
+                for lab, t in g.out_edges(x):
+                    nxt.setdefault(w + (lab,), set()).add(t)
+        found.update(nxt)
+        layer = nxt
+    return found
+
+
+def least_sync_witness(g, v, bound):
+    """The least (u, w) in the order (|u| + |w|, |u|, u, w), u and w of
+    1 to `bound` symbols, with uv and vw readable and uvw not: a context
+    that shows the non-empty v is not synchronizing; None if there is
+    none.  Every u and w is listed in that order; whether uvw is readable
+    depends only on where the paths reading uv end, so the least w is
+    found once per end set."""
+    key = g.alphabet.block_key
+
+    def ends(start, w):
+        for sym in w:
+            start = {t for x in start for lab, t in g.out_edges(x) if lab == sym}
+        return frozenset(start)
+
+    lefts = readable_from(g, g.vertices, bound)
+    after_v = readable_from(g, ends(g.vertices, v), bound)
+    words = {n: sorted((w for w in lefts if len(w) == n), key=key) for n in range(1, bound + 1)}
+    rights = {n: [w for w in ws if w in after_v] for n, ws in words.items()}
+    uv = {u: ends(e, v) for u, e in lefts.items()}
+    least = {}  # (end set of uv, |w|) -> least w read after v, not from there
+    for total in range(2, 2 * bound + 1):
+        for lu in range(max(1, total - bound), min(bound, total - 1) + 1):
+            n = total - lu
+            for u in words[lu]:
+                if not uv[u]:
+                    continue
+                if (uv[u], n) not in least:
+                    after_uv = readable_from(g, uv[u], n)
+                    least[uv[u], n] = next((w for w in rights[n] if w not in after_uv), None)
+                if least[uv[u], n] is not None:
+                    return u, least[uv[u], n]
+    return None
+
+
 def followers_equal(g, u, v, depth):
     """Extension-by-extension follower comparison to the given depth."""
     for n in range(1, depth + 1):

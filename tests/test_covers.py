@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import follower_included, followers_equal, path_words, reads
+from brute import follower_included, followers_equal, least_sync_witness, path_words, reads
 from shiftlab import covers
+from shiftlab.cli import main
 from shiftlab.core import (
     Alphabet,
     LabeledGraph,
@@ -241,6 +244,55 @@ def test_synchronizing_verdicts(graphs):
     assert not is_admissible(g, u + ("0",) + w)
 
 
+SIX = """alphabet a b c
+vertex v0
+vertex v1
+vertex v2
+vertex v3
+vertex v4
+vertex v5
+edge v0 v2 a
+edge v0 v3 a
+edge v0 v2 b
+edge v0 v2 c
+edge v1 v3 a
+edge v1 v4 c
+edge v1 v5 c
+edge v2 v5 a
+edge v2 v4 b
+edge v2 v0 c
+edge v2 v1 c
+edge v3 v2 a
+edge v3 v3 a
+edge v3 v1 b
+edge v3 v0 c
+edge v3 v5 c
+edge v4 v1 a
+edge v4 v2 a
+edge v4 v4 b
+edge v4 v3 c
+edge v4 v4 c
+edge v5 v2 a
+edge v5 v0 b
+edge v5 v2 b
+"""
+
+
+def test_sync_check_without_a_witness_within_the_default_bound(tmp_path, capsys):
+    # listing every u and w of up to 8 symbols each took minutes here;
+    # the least witness has a 10-symbol w (brute.least_sync_witness at
+    # bound 10 agrees, in seconds)
+    path = tmp_path / "six.graph"
+    path.write_text(SIX)
+    start = time.perf_counter()
+    assert main(["sync", "check", str(path), "bac"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "status not-synchronizing\n"
+    g = parse_graph(SIX)
+    assert least_sync_witness(g, tuple("bac"), 8) is None
+    assert is_synchronizing(g, tuple("bac"), 10).witness == (tuple("aac"), tuple("ccbbaaccac"))
+
+
 def test_synchronizing_rejects_inadmissible_block(graphs):
     with pytest.raises(InadmissibleBlockError):
         is_synchronizing(graphs["golden"], ("1", "1"))
@@ -376,6 +428,24 @@ def test_half_sync_on_right_resolving_input_builds_no_subset_automaton(graphs, m
     # right-resolving needs
     is_half_synchronizing(sofic_oracle(graphs["goldennd"]), ("0",), 8)
     assert len(calls) == 1
+
+
+def test_fischer_cover_and_sync_check_on_right_resolving_input_build_no_subset_automaton(
+    graphs, monkeypatch
+):
+    calls = []
+    real = covers._subset_automaton
+    monkeypatch.setattr(covers, "_subset_automaton", lambda g: calls.append(g) or real(g))
+    for name in ("golden", "even", "even4", "full2", "evenedge"):
+        g = graphs[name]
+        assert is_right_resolving(g)
+        fischer_cover(g)
+        for v in blocks_of_length(g, 1) + blocks_of_length(g, 2):
+            is_synchronizing(g, v)
+    assert calls == []
+    fischer_cover(graphs["goldennd"])
+    is_synchronizing(graphs["goldennd"], ("0",))
+    assert len(calls) == 2
 
 
 BINARY = Alphabet(("0", "1"))

@@ -1,7 +1,7 @@
 import pytest
 
 from brute import dyck_admissible, path_words
-from shiftlab.core import Alphabet, blocks_of_length
+from shiftlab.core import Alphabet, blocks_of_length, walk
 from shiftlab.covers import HOLDS, is_half_synchronizing
 from shiftlab.errors import InadmissibleBlockError, ParseError
 from shiftlab.oracle import (
@@ -107,6 +107,22 @@ def test_sofic_follower_equal_matches_graph(graphs):
 def test_dyck_half_synchronizing_candidate():
     o = dyck_oracle()
     assert is_half_synchronizing(o, ("(", ")"), 6).status == HOLDS
+
+
+@pytest.mark.parametrize("rank", (1, 2))
+def test_dyck_half_sync_prefix_walked_whole(rank):
+    # the prefix is checked part by part when it is built; here it is
+    # walked symbol by symbol
+    o = dyck_oracle_rank(rank)
+    for h in range(1, 6):
+        blocks = ["".join(w) for w in _words(o.alphabet, h) if dyck_admissible(o.pairs, w)]
+        for m in [w for n in (1, 2) for w in _words(o.alphabet, n) if dyck_admissible(o.pairs, w)]:
+            prefix = is_half_synchronizing(o, m, h).transitive_ray_prefix
+            assert dyck_admissible(o.pairs, prefix)
+            assert prefix[-len(m):] == m
+            assert walk(o.stepper, prefix) == walk(o.stepper, m)
+            text = "".join(prefix)
+            assert all(b in text for b in blocks)
 
 
 def test_parse_oracle_formats(tmp_path):

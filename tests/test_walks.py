@@ -19,6 +19,7 @@ from brute import (
     followers_equal,
     least_focusing_word,
     least_path_word,
+    least_sync_witness,
     path_words,
     reachable,
     reads,
@@ -38,11 +39,14 @@ from shiftlab.core import (
     trim_to_essential,
 )
 from shiftlab.covers import (
+    NOT_SYNCHRONIZING,
+    SYNCHRONIZING,
+    SyncVerdict,
     _follower_inclusion,
-    _merge_by_partition,
     find_synchronizing_word,
     fischer_cover,
     follower_separation,
+    is_synchronizing,
     languages_equal,
     subset_cover,
 )
@@ -163,10 +167,18 @@ def test_find_synchronizing_word_against_enumeration(seed):
         assert find_synchronizing_word(g, 6) == least_focusing_word(sc, 6)
 
 
+def _merge_by_partition(g, partition):
+    """Quotient graph; each class is named by its least member."""
+    rep = {v: min(grp) for grp in partition for v in grp}
+    edges = {(rep[src], rep[dst], lab) for src, dst, lab in g.edges}
+    return LabeledGraph(g.alphabet, set(rep.values()), edges)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_fischer_cover_against_the_synchronizing_word_component(seed):
     # the component of the merged subset cover around the image of a
-    # least synchronizing word, found by plain enumeration
+    # least synchronizing word, found by plain enumeration, with each
+    # vertex renamed to the Fischer vertex of its follower set
     for g in map(trim_to_essential, _pair(seed)):
         if not is_irreducible(g):
             continue
@@ -175,7 +187,32 @@ def test_fischer_cover_against_the_synchronizing_word_component(seed):
         (root,) = image_set(merged, least_focusing_word(sc, len(sc.vertices)))
         comp = {v for v in reachable(merged, root) if root in reachable(merged, v)}
         edges = [e for e in merged.edges if e[0] in comp and e[1] in comp]
-        assert fischer_cover(g) == LabeledGraph(g.alphabet, comp, edges)
+        fc = fischer_cover(g)
+        # vertices of deterministic graphs with n states in all that
+        # differ in followers differ on a word of length below n
+        both = _union(_renamed(LabeledGraph(g.alphabet, comp, edges), "old"), _renamed(fc, "new"))
+        depth = len(both.vertices)
+        new = {
+            x: y
+            for x, y in itertools.product(comp, fc.vertices)
+            if follower_included(both, "old" + x, "new" + y, depth)
+            and follower_included(both, "new" + y, "old" + x, depth)
+        }
+        assert sorted(new) == sorted(comp)
+        renamed = [(new[s], new[d], a) for s, d, a in edges]
+        assert fc == LabeledGraph(g.alphabet, new.values(), renamed)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_is_synchronizing_against_the_context_loop(seed):
+    # in these graphs every block that is not synchronizing has a
+    # witness within bound 8, so the loop at 8 decides the status too
+    for g in map(trim_to_essential, _pair(seed)):
+        for v in sorted(w for n in range(1, 4) for w in path_words(g, n)):
+            want = {bound: least_sync_witness(g, v, bound) for bound in (1, 2, 4, 8)}
+            status = SYNCHRONIZING if want[8] is None else NOT_SYNCHRONIZING
+            for bound, witness in want.items():
+                assert is_synchronizing(g, v, bound) == SyncVerdict(status, witness)
 
 
 @pytest.mark.parametrize("seed", range(40))
