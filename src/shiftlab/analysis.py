@@ -47,6 +47,7 @@ from .codes import (
 from .errors import (
     CodomainMismatchError,
     InadmissibleBlockError,
+    InvariantError,
     NotFiniteToOneError,
     NotIrreducibleError,
     NotSurjectiveError,
@@ -581,9 +582,8 @@ def find_hyperbolic_certificate(
                     continue
                 blocks = tuple(sorted(first, key=g.alphabet.block_key))
                 center = tuple(w[n - k : n + k + 1])
-                assert all(
-                    tuple(phi[a] for a in m) == center for m in blocks
-                )
+                if any(tuple(phi[a] for a in m) != center for m in blocks):
+                    raise InvariantError(f"a central block does not map onto {format_block(center)}")
                 ok = True
                 horizon = math.inf
                 for m in blocks:

@@ -42,6 +42,7 @@ from .covers import (
     is_half_synchronizing,
     is_right_resolving,
     is_synchronizing,
+    ray_prefix,
     subset_cover,
 )
 from .errors import NotFiniteToOneError, ParseError, ShiftlabError
@@ -132,10 +133,10 @@ def _cmd_sync(cfg: RunConfig, out: _Printer) -> int:
         out.row("status", v.status.replace("_", "-"))
         out.row("block", format_block(v.block))
         out.row("horizon", v.horizon)
-        if v.transitive_ray_prefix is not None:
-            out.row("prefix-length", len(v.transitive_ray_prefix))
-            if 0 < len(v.transitive_ray_prefix) <= 64:
-                out.row("prefix", format_block(v.transitive_ray_prefix))
+        if v.prefix_length is not None:
+            out.row("prefix-length", v.prefix_length)
+            if 0 < v.prefix_length <= 64:
+                out.row("prefix", format_block(ray_prefix(o, m, cfg.horizon)))
         if v.refutation is not None:
             out.row("refutation", format_block(v.refutation))
         out.row("exact", _yes(v.exact))

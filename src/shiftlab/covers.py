@@ -19,6 +19,12 @@ Marcus 3.3).  Dominance: m holds exactly iff some such v has F(u) in
 F(v) for every such u.  Refutation: otherwise each v has a least word
 that m, but not the ray at v, can be followed by, and m is refuted iff
 all of them are within the horizon; else it holds at the horizon only.
+
+A holding verdict carries the length of a transitive-ray prefix, a word
+ending in m that contains every admissible block of length
+min(horizon, budget); `ray_prefix` builds the word on demand.  The Dyck
+length is counted by a DP over stack depth, the sofic one summed from
+the parts of its construction.
 """
 
 import itertools
@@ -77,7 +83,7 @@ class HalfSyncVerdict:
     status: str
     block: Block
     horizon: int
-    transitive_ray_prefix: Optional[Block] = None  # iff holds, from is_half_synchronizing
+    prefix_length: Optional[int] = None  # iff holds: len(ray_prefix(o, block, horizon))
     refutation: Optional[Block] = None  # present iff refuted
     exact: bool = False  # follower comparison was horizon-free
 
@@ -227,10 +233,17 @@ def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
     """Length-lexicographically least non-empty admissible block whose
     image in the subset cover is a single vertex, or None if there is
     none of length <= max_len.  `bfs` over the image sets of the subset
-    cover yields each set with its least word, in that order.
+    cover yields each set with its least word, in that order; an image
+    set is walked as a set of the `_essential_subsets` states that are
+    the cover's vertices, so the named cover is never built.
     """
     require_essential(g)
-    for word, s in _nonempty_images(graph_stepper(subset_cover(g))):
+    order, trans = _essential_subsets(g)
+
+    def step(states, sym):
+        return frozenset(t for s in states if (t := trans.get((s, sym)))) or None
+
+    for word, s in _nonempty_images(Stepper(g.alphabet, frozenset(order) or None, step)):
         if len(word) > max_len:
             return None
         if len(s) == 1:
@@ -381,12 +394,13 @@ def _half_sync_sofic(g: LabeledGraph, m: Block, horizon: int):
     return HalfSyncVerdict(REFUTED, m, horizon, refutation=worst), p, ends
 
 
-def _ray_prefix(p: LabeledGraph, m: Block, depth: int, ends) -> Block:
-    """A word of p that contains every admissible block of length
-    `depth` and ends in an m that ends in `ends`.  The blocks, joined by
-    least connectors and closed into a cycle by the least return word,
-    make a unit, repeated until the vertex set it reaches is stable;
-    the least word from there to such an m follows."""
+def _ray_parts(p: LabeledGraph, m: Block, depth: int, ends):
+    """(unit, reps, f) such that unit * reps + f + m is a word of p that
+    contains every admissible block of length `depth` and ends in an m
+    that ends in `ends`.  The blocks, joined by least connectors and
+    closed into a cycle by the least return word, make a unit, repeated
+    until the vertex set it reaches is stable; f is the least word from
+    there to such an m."""
     st = memoized(graph_stepper(p))
     parts, s = [], st.start
     for b in iter_admissible_blocks(p, depth):
@@ -404,15 +418,44 @@ def _ray_prefix(p: LabeledGraph, m: Block, depth: int, ends) -> Block:
     while (t2 := walk(st.at(t), unit)) != t:
         t, reps = t2, reps + 1
     f = next(w for w, x in bfs(t, st.moves) if not ends.isdisjoint(walk(st.at(x), m) or ()))
-    return unit * reps + f + m
+    return unit, reps, f
 
 
-def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
+def _ray_prefix(p: LabeledGraph, m: Block, depth: int, ends) -> int:
+    """The length of the word `_ray_parts` spells, without spelling it."""
+    unit, reps, f = _ray_parts(p, m, depth, ends)
+    return len(unit) * reps + len(f) + len(m)
+
+
+def _dyck_counts(r: int, n: int):
+    """(N, total depth) over the N admissible length-n blocks of the
+    Dyck shift on r pairs, the depth of a block being the size of its
+    stack of unmatched openers.  A DP over depth, O(n^2): at depth 0
+    the r openers go one deeper and the r closers, matching the unseen
+    past, stay; at depth d > 0 the r openers go one deeper and the one
+    matching closer one shallower."""
+    counts = [1]  # counts[d]: blocks so far that end at depth d
+    for _ in range(n):
+        nxt = [0] * (len(counts) + 1)
+        nxt[0] = r * counts[0]
+        for d, c in enumerate(counts):
+            nxt[d + 1] += r * c
+            if d:
+                nxt[d - 1] += c
+        counts = nxt
+    return sum(counts), sum(d * c for d, c in enumerate(counts))
+
+
+def _dyck_prefix(o, m, depth) -> Block:
+    """Every admissible length-`depth` block in lexicographic order,
+    each followed by the closers that empty its stack, then m: every
+    part starts at the empty stack, so the word ends with m's
+    signature, hence m's follower set at every horizon.  Its length is
+    N * depth + total depth + |m| (see `_dyck_counts`)."""
     closer_of = dict(o.pairs)
 
     def closers(stack):
-        """Closers that empty the stack, top first: then the prefix has
-        m's signature, so m's follower set at every horizon."""
+        """Closers that empty the stack, top first."""
         c = tuple(closer_of[sym] for sym in reversed(stack))
         if walk(o.stepper.at(stack), c) != ():
             raise InvariantError(f"{format_block(c)} does not empty the stack {format_block(stack)}")
@@ -420,15 +463,16 @@ def _half_sync_dyck(o, m, horizon) -> HalfSyncVerdict:
 
     parts = []
     stack = ()
-    for b, after in iter_blocks(o.stepper, min(horizon, o.horizon_budget)):
+    for b, after in iter_blocks(o.stepper, depth):
         parts += [closers(stack), b]
         stack = after
     parts += [closers(stack), m]
-    prefix = tuple(itertools.chain.from_iterable(parts))
-    return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=True)
+    return tuple(itertools.chain.from_iterable(parts))
 
 
-def _half_sync_code(o, m, horizon) -> HalfSyncVerdict:
+def _half_sync_code(o, m, horizon):
+    """(verdict, prefix): the window-based code-list decision, which
+    compares m with the one prefix it constructs."""
     depth = min(horizon, o.horizon_budget)
     blocks = list(oracle_blocks(o, depth)) or [()]
     parts = []
@@ -441,11 +485,12 @@ def _half_sync_code(o, m, horizon) -> HalfSyncVerdict:
 
     a = walk(o.stepper, m)
     b = walk(o.stepper, prefix)
-    assert b is not None, "constructed prefix must be admissible"
+    if b is None:
+        raise InvariantError(f"the constructed prefix of {format_block(m)} is not admissible")
     delta = first_divergence(o.stepper.at(a), o.stepper.at(b), horizon)
     if delta is not None:
-        return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta)
-    return HalfSyncVerdict(HOLDS, m, horizon, transitive_ray_prefix=prefix, exact=False)
+        return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta), prefix
+    return HalfSyncVerdict(HOLDS, m, horizon, prefix_length=len(prefix), exact=False), prefix
 
 
 def is_half_synchronizing(o: ShiftOracle, m: Block, horizon: int) -> HalfSyncVerdict:
@@ -459,18 +504,43 @@ def is_half_synchronizing(o: ShiftOracle, m: Block, horizon: int) -> HalfSyncVer
     the horizon, reporting the length-lex greatest of those least
     separating words, and else holds, not exactly.  Dyck verdicts
     compare signatures and are exact; code_list verdicts are
-    window-based.  A holding verdict carries a transitive-ray prefix:
-    an admissible word ending in m that contains every admissible
-    block of length min(horizon, budget).
+    window-based.  A holding verdict carries the length of its
+    transitive-ray prefix, the word `ray_prefix` builds on demand: on
+    Dyck oracles it is counted by `_dyck_counts`, no block enumerated.
     """
     if not _admissible_unbounded(o, m):
         raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
+    depth = min(horizon, o.horizon_budget)
     if o.kind == DYCK:
-        return _half_sync_dyck(o, m, horizon)
+        n, total_depth = _dyck_counts(len(o.pairs), depth)
+        length = n * depth + total_depth + len(m)
+        return HalfSyncVerdict(HOLDS, m, horizon, prefix_length=length, exact=True)
     if o.kind != SOFIC:
-        return _half_sync_code(o, m, horizon)
+        return _half_sync_code(o, m, horizon)[0]
     verdict, p, ends = _half_sync_sofic(o.graph, m, horizon)
     if verdict.status == REFUTED:
         return verdict
-    prefix = _ray_prefix(p, m, min(horizon, o.horizon_budget), ends)
-    return replace(verdict, transitive_ray_prefix=prefix)
+    return replace(verdict, prefix_length=_ray_prefix(p, m, depth, ends))
+
+
+def ray_prefix(o: ShiftOracle, m: Block, horizon: int) -> Optional[Block]:
+    """The transitive-ray prefix behind a holding verdict of
+    `is_half_synchronizing(o, m, horizon)`, of its `prefix_length`
+    symbols, or None when m is refuted: an admissible word ending in m
+    that contains every admissible block of length min(horizon, budget)
+    and, read as a word, is followed by what m is (at every length when
+    the verdict is exact, else up to the horizon).
+    """
+    if not _admissible_unbounded(o, m):
+        raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
+    depth = min(horizon, o.horizon_budget)
+    if o.kind == DYCK:
+        return _dyck_prefix(o, m, depth)
+    if o.kind != SOFIC:
+        verdict, prefix = _half_sync_code(o, m, horizon)
+        return prefix if verdict.status == HOLDS else None
+    verdict, p, ends = _half_sync_sofic(o.graph, m, horizon)
+    if verdict.status == REFUTED:
+        return None
+    unit, reps, f = _ray_parts(p, m, depth, ends)
+    return unit * reps + f + m

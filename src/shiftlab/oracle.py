@@ -44,6 +44,7 @@ from .core import (
 from .errors import (
     BudgetExceededError,
     InadmissibleBlockError,
+    InvariantError,
     OracleKindError,
     ParseError,
 )
@@ -231,7 +232,8 @@ def _embed_in_concatenation(o, b):
     blocks such that alpha + b + beta is an exact concatenation of
     generators.  Deterministic: least start residual that survives,
     then least final residual."""
-    assert o.kind == CODE_LIST
+    if o.kind != CODE_LIST:
+        raise InvariantError(f"concatenation embedding needs a code_list oracle, not {o.kind}")
 
     def reskey(r):
         return (len(r), r)

@@ -31,6 +31,7 @@ from shiftlab.covers import (
     is_synchronizing,
     isomorphic_minimal,
     languages_equal,
+    ray_prefix,
     subset_cover,
 )
 from shiftlab.errors import InadmissibleBlockError, NotIrreducibleError
@@ -330,8 +331,10 @@ def test_half_sync_golden_holds(graphs):
     v = is_half_synchronizing(o, ("1",), 8)
     assert v.status == HOLDS
     assert v.exact
-    assert v.transitive_ray_prefix is not None
-    assert v.transitive_ray_prefix[-1:] == ("1",)
+    prefix = ray_prefix(o, ("1",), 8)
+    assert prefix is not None
+    assert prefix[-1:] == ("1",)
+    assert len(prefix) == v.prefix_length
 
 
 def test_half_sync_even_zero_refuted(graphs):
@@ -362,8 +365,7 @@ def test_half_sync_verdict_monotone_over_horizons(graphs):
 def test_half_sync_prefix_contains_all_short_blocks(graphs):
     g = graphs["even"]
     o = sofic_oracle(g)
-    v = is_half_synchronizing(o, ("1",), 6)
-    text = "".join(v.transitive_ray_prefix)
+    text = "".join(ray_prefix(o, ("1",), 6))
     for w in blocks_of_length(g, 6):
         assert "".join(w) in text
 
@@ -392,8 +394,9 @@ def test_half_sync_refutes_only_when_every_ray_is_separated():
     for h in (2, 3):
         v = is_half_synchronizing(o, ("2",), h)
         assert (v.status, v.exact, v.refutation) == (HOLDS, False, None)
-        assert v.transitive_ray_prefix[-1:] == ("2",)
-        assert followers_equal(g, v.transitive_ray_prefix, ("2",), h)
+        prefix = ray_prefix(o, ("2",), h)
+        assert prefix[-1:] == ("2",)
+        assert followers_equal(g, prefix, ("2",), h)
     for h in (4, 8):
         v = is_half_synchronizing(o, ("2",), h)
         assert (v.status, v.refutation) == (REFUTED, ("1", "2", "1", "1"))
@@ -500,7 +503,9 @@ def test_half_sync_dominance_property(g, data):
     # the prefix ends the ray: read as a word it is followed by what m
     # is, at every length when exact, else up to the horizon
     if v.status == HOLDS:
-        prefix = is_half_synchronizing(sofic_oracle(g), m, h).transitive_ray_prefix
+        o = sofic_oracle(g)
+        prefix = ray_prefix(o, m, h)
+        assert len(prefix) == is_half_synchronizing(o, m, h).prefix_length
         assert prefix[len(prefix) - len(m):] == m and reads(g, prefix)
         assert followers_equal(g, prefix, m, 6 if v.exact else h)
     # the verdict belongs to the shift, not to its presentation

@@ -1,11 +1,14 @@
 import pytest
 
 from brute import dyck_admissible, path_words
+from shiftlab import core, covers, oracle
+from shiftlab.cli import main
 from shiftlab.core import Alphabet, blocks_of_length, walk
-from shiftlab.covers import HOLDS, is_half_synchronizing
-from shiftlab.errors import InadmissibleBlockError, ParseError
+from shiftlab.covers import HOLDS, _dyck_counts, is_half_synchronizing, ray_prefix
+from shiftlab.errors import InadmissibleBlockError, InvariantError, ParseError
 from shiftlab.oracle import (
     DYCK_PAIRS_2,
+    _embed_in_concatenation,
     code_list_oracle,
     dyck_follower_signature,
     dyck_oracle,
@@ -117,12 +120,70 @@ def test_dyck_half_sync_prefix_walked_whole(rank):
     for h in range(1, 6):
         blocks = ["".join(w) for w in _words(o.alphabet, h) if dyck_admissible(o.pairs, w)]
         for m in [w for n in (1, 2) for w in _words(o.alphabet, n) if dyck_admissible(o.pairs, w)]:
-            prefix = is_half_synchronizing(o, m, h).transitive_ray_prefix
+            prefix = ray_prefix(o, m, h)
             assert dyck_admissible(o.pairs, prefix)
             assert prefix[-len(m):] == m
             assert walk(o.stepper, prefix) == walk(o.stepper, m)
             text = "".join(prefix)
             assert all(b in text for b in blocks)
+
+
+def _dyck_blocks(o, n):
+    return [w for w in _words(o.alphabet, n) if dyck_admissible(o.pairs, w)]
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3))
+def test_dyck_prefix_length_is_the_built_length(rank):
+    o = dyck_oracle_rank(rank)
+    ms = (_dyck_blocks(o, 1)[0], _dyck_blocks(o, 2)[1])
+    for h in range(1, 9):
+        for m in ms:
+            v = is_half_synchronizing(o, m, h)
+            assert v.prefix_length == len(ray_prefix(o, m, h))
+    # a budget below the horizon bounds the block length
+    tight = dyck_oracle_rank(rank, horizon_budget=3)
+    m = ms[1]
+    v = is_half_synchronizing(tight, m, 6)
+    assert v.prefix_length == len(ray_prefix(tight, m, 6)) == len(ray_prefix(o, m, 3))
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3))
+def test_dyck_counts_match_enumeration(rank):
+    o = dyck_oracle_rank(rank)
+    for n in range(6):
+        blocks = _dyck_blocks(o, n)
+        depths = sum(len(walk(o.stepper, b)) for b in blocks)
+        assert _dyck_counts(rank, n) == (len(blocks), depths)
+
+
+def test_dyck_half_sync_enumerates_no_blocks(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for mod in (core, covers, oracle):
+        monkeypatch.setattr(mod, "iter_blocks", counted("iter_blocks", mod.iter_blocks))
+    monkeypatch.setattr(covers, "_dyck_prefix", counted("_dyck_prefix", covers._dyck_prefix))
+    monkeypatch.setattr(covers, "ray_prefix", counted("ray_prefix", covers.ray_prefix))
+    o = dyck_oracle_rank(3)
+    v = is_half_synchronizing(o, ("(3", ")3", "["), 8)
+    assert (v.status, v.exact, v.prefix_length) == (HOLDS, True, 2809164)
+    assert calls == []
+
+
+def test_cli_dyck3_prefix_length(tmp_path, capsys):
+    p = tmp_path / "dyck3.oracle"
+    p.write_text("oracle dyck 3\n")
+    assert main(["sync", "half", str(p), "(3.)3.[", "--horizon", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "prefix-length 2809164\n" in out
+    assert "prefix " not in out
+
+
+def test_embed_in_concatenation_needs_a_code_list():
+    with pytest.raises(InvariantError):
+        _embed_in_concatenation(dyck_oracle(), ("(",))
 
 
 def test_parse_oracle_formats(tmp_path):
