@@ -18,6 +18,7 @@ from .core import (
     Alphabet,
     Block,
     LabeledGraph,
+    bfs,
     format_block,
     graph_stepper,
     is_admissible,
@@ -33,7 +34,6 @@ from .covers import (
     fischer_cover,
     _essential_subsets,
     _half_sync_sofic,
-    _subset_automaton,
 )
 from .codes import (
     BlockCode,
@@ -124,8 +124,7 @@ class DegreeReport:
     degree: Optional[int]
     magic_word: Optional[Block]
     details: Optional[tuple]
-    exact: bool = False
-    exactness_bound: int = 0
+    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -249,13 +248,22 @@ def is_finite_to_one(f: FactorMap) -> bool:
     return ok
 
 
-def degree(f: FactorMap, word_bound: Optional[int] = None) -> DegreeReport:
-    """The minimum over image words of per-coordinate preimage-symbol
-    counts; the minimizing word is the magic word.
+def degree(f: FactorMap) -> DegreeReport:
+    """The least number of preimage symbols at a coordinate of an image
+    word, over all words and coordinates; the length-lex least word
+    attaining it is the magic word.
 
-    Exact once word_bound reaches the squared subset-cover size plus
-    one; below that the degree is an upper bound and the report's
-    exact flag stays false.
+    Coordinate i of w counts c(F, w[i], B): the domain symbols on
+    w[i]-image edges from F, the vertices paths reading w[:i] can end
+    at, into B, the vertices paths reading w[i+1:] can start at.  So
+    the degree is the least nonzero c(F, b, B) over the forward sets F
+    of the image presentation, its backward sets B (the forward sets of
+    its reverse) and the image symbols b, with no word bound: a triple
+    with c > 0 is read by u b v for any u reaching F and v reaching B,
+    and at coordinate |u| that word counts exactly c.  The magic word
+    is the least such u b v over the minimizing triples, u the least
+    word reaching F and v, of all shortest words reaching B, the least
+    in reading order.
     """
     if not is_finite_to_one(f):
         raise NotFiniteToOneError("degree is defined for finite-to-one maps")
@@ -263,56 +271,51 @@ def degree(f: FactorMap, word_bound: Optional[int] = None) -> DegreeReport:
     _require_irreducible(f.codomain, "the codomain")
     g = f1.domain
     phi = _phi(f1)
-    order, _ = _subset_automaton(g)
-    bound = len(order) ** 2 + 1
-    if word_bound is None:
-        word_bound = bound
+    img = image_presentation(f1)
+    fwd = graph_stepper(img)
+    back = graph_stepper(LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges]))
     by_img = {}
     for src, dst, a in g.edges:
         by_img.setdefault(phi[a], []).append((src, dst, a))
-    img = trim_to_essential(image_presentation(f1))
-    vertices = set(g.vertices)
-    best = None
-    best_w = None
-    best_details = None
-    for length in range(1, word_bound + 1):
-        for w in iter_admissible_blocks(img, length):
-            fwd = [vertices]
-            for b in w:
-                cur = fwd[-1]
-                fwd.append({dst for src, dst, a in by_img[b] if src in cur})
-            bwd = [None] * (length + 1)
-            bwd[length] = vertices
-            for i in range(length - 1, -1, -1):
-                nxt = bwd[i + 1]
-                bwd[i] = {src for src, dst, a in by_img[w[i]] if dst in nxt}
-            details = []
-            for i, b in enumerate(w):
-                syms = {
-                    a
-                    for src, dst, a in by_img[b]
-                    if src in fwd[i] and dst in bwd[i + 1]
-                }
-                details.append(len(syms))
-            d_w = min(details)
-            if best is None or d_w < best:
-                best = d_w
-                best_w = w
-                best_details = tuple(details)
-        if best == 1:
-            break
-    return DegreeReport(
-        finite_to_one=True,
-        degree=best,
-        magic_word=best_w,
-        details=best_details,
-        exact=word_bound >= bound,
-        exactness_bound=bound,
-    )
+    index = img.alphabet.index
+    # v for every backward set, built forward: v = c v' with v' least
+    # for a set one layer nearer the full set; layers stay sorted
+    least = {back.start: ()}
+    layer = [back.start]
+    while layer:
+        nxt = []
+        for c in img.alphabet.symbols:
+            for t in layer:
+                s = back.step(t, c)
+                if s is not None and s not in least:
+                    least[s] = (c,) + least[t]
+                    nxt.append(s)
+        layer = nxt
+    backward = [(t, v, tuple(map(index, v))) for t, v in least.items()]
+    best = w = None
+    for u, s in bfs(fwd.start, fwd.moves):
+        iu = tuple(map(index, u))
+        for b in img.alphabet.symbols:
+            edges = [(dst, a) for src, dst, a in by_img.get(b, ()) if src in s]
+            if not edges:
+                continue
+            ib = (index(b),)
+            for t, v, iv in backward:
+                c = len({a for dst, a in edges if dst in t})
+                if c and (best is None or c <= best[0]):
+                    key = (c, len(u) + 1 + len(v), iu + ib + iv)
+                    if best is None or key < best:
+                        best, w = key, u + (b,) + v
+
+    def count(i):
+        s, t = walk(fwd, w[:i]), walk(back, w[:i:-1])
+        return len({a for src, dst, a in by_img[w[i]] if src in s and dst in t})
+
+    return DegreeReport(True, best[0], w, tuple(map(count, range(len(w)))))
 
 
-def is_one_to_one_ae(f: FactorMap, word_bound: Optional[int] = None) -> bool:
-    return degree(f, word_bound).degree == 1
+def is_one_to_one_ae(f: FactorMap) -> bool:
+    return degree(f).degree == 1
 
 
 def _fischer_pairs(f: FactorMap) -> PairAutomaton:
@@ -392,11 +395,13 @@ def find_decoder_block(
     pa = PairAutomaton(g, phi)
     chain = pa.survival_chain()
     img = graph_stepper(image_presentation(f1))
+    tried = {None}  # a tried end set failed, or the search returned
     for length in range(1, max_len + 1):
         for w in iter_admissible_blocks(f.codomain, length):
             ends = walk(img, w)
-            if ends is None:
+            if ends in tried:
                 continue
+            tried.add(ends)
             closure = reach(
                 [(p, q) for p in ends for q in ends],
                 lambda pq: [succ for _, a1, a2, succ in pa.transitions[pq] if a1 == a2],
@@ -690,21 +695,19 @@ def check_theorem_4_2(
     f: FactorMap,
     max_len: int = 8,
     max_anticipation: int = 4,
-    word_bound: Optional[int] = None,
     delay_bound: int = 6,
 ) -> TheoremReport:
     """Right-closing a.e. plus 1-1 a.e. against decoder-block
     existence.  Disagreement needs both sides definite; a bounded
     search that ran out on one side only is inconclusive."""
     closing = right_closing_ae(f, delay_bound)
-    deg = degree(f, word_bound)
+    deg = degree(f)
     lhs = closing.right_closing_ae and deg.degree == 1
-    lhs_definite = closing.exact and deg.exact
     cert = find_decoder_block(f, max_len, max_anticipation)
     rhs = cert is not None
     if lhs == rhs:
         status = AGREE_POSITIVE if lhs else AGREE_NEGATIVE
-    elif rhs and lhs_definite:
+    elif rhs and closing.exact:
         status = DISAGREE
     else:
         status = INCONCLUSIVE

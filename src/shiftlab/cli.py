@@ -65,7 +65,7 @@ class RunConfig:
     max_len: int = 8
     max_anticipation: int = 4
     horizon: int = 8
-    word_bound: Optional[int] = None  # None means computed per operation
+    word_bound: int = 8  # hyperbolic-certificate search only
     delay_bound: int = 6
     fmt: str = "report"
 
@@ -188,7 +188,7 @@ def _cmd_map(cfg: RunConfig, out: _Printer) -> int:
     sub = cfg.subcommand
     if sub in ("degree", "onetoone"):
         try:
-            rep = degree(f, word_bound=cfg.word_bound)
+            rep = degree(f)
         except NotFiniteToOneError:
             out.row("finite-to-one", "no")
             out.row("degree", "infinite")
@@ -202,8 +202,7 @@ def _cmd_map(cfg: RunConfig, out: _Printer) -> int:
         else:
             out.row("magic-word", format_block(rep.magic_word))
             out.row("exact", _yes(rep.exact))
-            out.row("exactness-bound", rep.exactness_bound)
-        return EXIT_OK if rep.exact else EXIT_INCONCLUSIVE
+        return EXIT_OK
     if sub == "closing":
         rep = right_closing_ae(f, delay_bound=cfg.delay_bound)
         out.row("right-closing-ae", _yes(rep.right_closing_ae))
@@ -222,7 +221,7 @@ def _cmd_map(cfg: RunConfig, out: _Printer) -> int:
         return EXIT_OK
     cert = find_hyperbolic_certificate(
         f,
-        word_bound=cfg.word_bound if cfg.word_bound is not None else 8,
+        word_bound=cfg.word_bound,
         k_bound=cfg.max_anticipation,
         extension_bound=cfg.horizon,
     )
@@ -255,20 +254,15 @@ def _status_exit(status: str) -> int:
 
 
 def _cmd_check(cfg: RunConfig, out: _Printer) -> int:
-    wb = cfg.word_bound
     if cfg.subcommand == "t42":
-        rep = check_theorem_4_2(
-            _load_map(cfg.paths[0]), cfg.max_len, cfg.max_anticipation, wb, cfg.delay_bound
-        )
+        rep = check_theorem_4_2(_load_map(cfg.paths[0]), cfg.max_len, cfg.max_anticipation, cfg.delay_bound)
     elif cfg.subcommand == "t33":
         rep = check_theorem_3_3(
-            _load_map(cfg.paths[0]),
-            word_bound=wb if wb is not None else 8,
-            k_bound=cfg.max_anticipation,
+            _load_map(cfg.paths[0]), word_bound=cfg.word_bound, k_bound=cfg.max_anticipation
         )
     else:
         maps = [_load_map(p) for p in cfg.paths]
-        rep = check_theorem_3_4(*maps, word_bound=wb if wb is not None else 8, k_bound=cfg.max_anticipation)
+        rep = check_theorem_3_4(*maps, word_bound=cfg.word_bound, k_bound=cfg.max_anticipation)
     for line in rep.lines():
         out.row(*line.split(" "))
     return _status_exit(rep.status)
@@ -304,7 +298,9 @@ def _bound_flags(parser, leaf):
     parser.add_argument("--anticipation", type=int, metavar="N", default=d or 4)
     parser.add_argument("--horizon", type=int, metavar="N", default=d or 8)
     parser.add_argument("--delay", type=int, metavar="N", default=d or 6)
-    parser.add_argument("--word-bound", type=int, metavar="N", default=d)
+    parser.add_argument("--word-bound", type=int, metavar="N", default=d or 8,
+                        help="longest image word of the hyperbolic-certificate search (map hyperbolic, "
+                        "check t33|t34); degree is exact and takes no bound")
     parser.add_argument("--format", choices=("report", "tsv"), default=d or "report")
 
 
@@ -353,11 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns) -> RunConfig:
-    for flag in ("max_len", "anticipation", "horizon", "delay"):
+    for flag in ("max_len", "anticipation", "horizon", "delay", "word_bound"):
         if getattr(ns, flag) <= 0:
             raise ParseError(f"--{flag.replace('_', '-')} must be positive")
-    if ns.word_bound is not None and ns.word_bound <= 0:
-        raise ParseError("--word-bound must be positive")
     paths = tuple(
         getattr(ns, key) for key in ("file", "file0", "file1", "file2", "file3") if hasattr(ns, key)
     )

@@ -197,6 +197,26 @@ def preimage_blocks(f1, w):
     return found
 
 
+def degree_by_words(f1, n):
+    """(least count, least word attaining it, the word's counts) over
+    the image words of 1 to n symbols of a one-block map, listed in
+    length-lexicographic order and stopping after the first length that
+    reaches 1.  The count at a coordinate is the number of domain
+    symbols the preimage paths of the whole word carry there."""
+    phi = {x[0]: y for x, y in f1.code.window_map.items()}
+    best = None
+    for length in range(1, n + 1):
+        words = {tuple(phi[a] for a in x) for x in path_words(f1.domain, length)}
+        for w in sorted(words, key=f1.codomain.alphabet.block_key):
+            pre = preimage_blocks(f1, w)
+            counts = tuple(len({x[i] for x in pre}) for i in range(length))
+            if best is None or min(counts) < best[0]:
+                best = min(counts), w, counts
+        if best[0] == 1:
+            break
+    return best
+
+
 def concatenation_factor(gens, w):
     """Whether w occurs inside some concatenation of the generator
     blocks.  A concatenation of at most |w| + 2 * max|gen| symbols

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from brute import preimage_blocks
-from shiftlab import covers
+from brute import degree_by_words, preimage_blocks
+from shiftlab import analysis, covers
 from shiftlab.analysis import (
     AGREE_NEGATIVE,
     AGREE_POSITIVE,
@@ -28,9 +29,19 @@ from shiftlab.codes import (
     FactorMap,
     apply_block,
     identity_factor_map,
+    image_presentation,
     recode_to_one_block,
 )
-from shiftlab.core import blocks_of_length, format_block, parse_graph
+from shiftlab.core import (
+    Alphabet,
+    LabeledGraph,
+    blocks_of_length,
+    format_block,
+    graph_stepper,
+    parse_graph,
+    reach,
+    walk,
+)
 from shiftlab.errors import (
     CodomainMismatchError,
     InadmissibleBlockError,
@@ -114,6 +125,71 @@ def test_degree_requires_finite_to_one(graphs):
         degree(_collapse(graphs))
 
 
+def _seeded_maps(full2, seeds):
+    """Finite-to-one maps into 0 1, onto their images, on a random graph
+    whose ring of first-letter edges makes it irreducible: by seed mod
+    3, a one-block map of a b c on 1-4 vertices, or a two-block map of
+    0 1 on 1-4 or on 1-2 vertices."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        kind = seed % 3
+        width = 1 if kind == 0 else 2
+        labels = ("a", "b", "c") if kind == 0 else ("0", "1")
+        n = rng.randint(1, 2 if kind == 2 else 4)
+        edges = {(f"q{i}", f"q{(i + 1) % n}", labels[0]) for i in range(n)}
+        edges |= {
+            (f"q{i}", f"q{rng.randrange(n)}", lab)
+            for i in range(n) for lab in labels[1:] for _ in range(2) if rng.random() < 0.45
+        }
+        g = LabeledGraph(Alphabet(labels), [f"q{i}" for i in range(n)], edges)
+        wm = {w: rng.choice("01") for w in itertools.product(labels, repeat=width)}
+        code = BlockCode(0, width - 1, wm, g.alphabet, full2.alphabet)
+        f = FactorMap(code, g, image_presentation(FactorMap(code, g, full2)))
+        if is_finite_to_one(f):
+            yield f
+
+
+def test_degree_matches_word_enumeration(graphs):
+    """Degree, magic word and counts equal the least over all image
+    words, listed to the old exactness bound (squared subset-automaton
+    size plus one) where that is at most 10 or the degree is 1.  On the
+    other maps the listing runs to the magic word's length, which still
+    pins the word and the counts."""
+    by_degree = {}
+    for f in _seeded_maps(graphs["full2"], range(600)):
+        rep = degree(f)
+        f1 = recode_to_one_block(f)
+        bound = len(covers._subset_automaton(f1.domain)[0]) ** 2 + 1
+        ref = degree_by_words(f1, max(len(rep.magic_word), bound if bound <= 10 else 0))
+        assert (rep.degree, rep.magic_word, rep.details) == ref
+        assert rep.exact
+        exact = rep.degree == 1 or bound <= 10
+        by_degree[rep.degree, exact] = by_degree.get((rep.degree, exact), 0) + 1
+    assert sum(by_degree.values()) >= 240 and by_degree[2, True] >= 20
+
+
+def test_degree_magic_word_is_least_in_reading_order(graphs):
+    """After the image symbol the magic word takes the least word of its
+    length in reading order; the least word of a breadth-first search on
+    the reversed graph, read backwards, would give 0101001."""
+    g = parse_graph(
+        "alphabet a b c d e f g h\n" + "".join(f"vertex q{i}\n" for i in range(4))
+        + "edge q0 q1 a\nedge q0 q3 b\nedge q1 q2 c\nedge q2 q0 d\n"
+        + "edge q2 q3 e\nedge q3 q0 f\nedge q3 q1 g\nedge q3 q2 h\n"
+    )
+    code = BlockCode(0, 0, {(a,): b for a, b in zip("abcdefgh", "01010011")}, g.alphabet, graphs["full2"].alphabet)
+    f = FactorMap(code, g, image_presentation(FactorMap(code, g, graphs["full2"])))
+    rep = degree(f)
+    assert (rep.degree, rep.magic_word) == (1, tuple("0100101"))
+    assert (rep.degree, rep.magic_word, rep.details) == degree_by_words(recode_to_one_block(f), 7)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+def test_degree_of_xor_of_k(graphs, k):
+    rep = degree(_xor_of(k, graphs["full2"]))
+    assert (rep.degree, rep.magic_word, rep.details, rep.exact) == (2 ** (k - 1), ("0",), (2 ** (k - 1),), True)
+
+
 def test_one_to_one_ae(maps):
     assert is_one_to_one_ae(maps["evenmap"])
     assert is_one_to_one_ae(maps["identity"])
@@ -165,6 +241,49 @@ def test_decoder_requires_surjectivity(graphs):
     )
     with pytest.raises(NotSurjectiveError):
         find_decoder_block(constant)
+
+
+def test_decoder_search_closes_each_end_set_once(graphs, monkeypatch):
+    f = _xor_of(4, graphs["full2"])
+    img = graph_stepper(image_presentation(recode_to_one_block(f)))
+    ends = {walk(img, w) for n in range(1, 9) for w in blocks_of_length(f.codomain, n)}
+    calls = []
+    monkeypatch.setattr(analysis, "reach", lambda *args: calls.append(args) or reach(*args))
+    assert find_decoder_block(f) is None
+    assert len(calls) == len(ends) == 1
+
+
+def _decoder_by_every_word(f, max_len=8, max_anticipation=4):
+    """The decoder search closing the end set of every image word."""
+    f1 = recode_to_one_block(f)
+    pa = PairAutomaton(f1.domain, {w[0]: out for w, out in f1.code.window_map.items()})
+    chain = pa.survival_chain()
+    img = graph_stepper(image_presentation(f1))
+    for length in range(1, max_len + 1):
+        for w in blocks_of_length(f.codomain, length):
+            ends = walk(img, w)
+            if ends is None:
+                continue
+            closure = reach(
+                [(p, q) for p in ends for q in ends],
+                lambda pq: [succ for _, a1, a2, succ in pa.transitions[pq] if a1 == a2],
+            )
+            for k in range(max_anticipation + 1):
+                surv = chain[min(k, len(chain) - 1)]
+                if not any(
+                    a1 != a2 and succ in surv for pq in closure for _, a1, a2, succ in pa.transitions[pq]
+                ):
+                    return w, k
+    return None
+
+
+def test_decoder_search_matches_every_word_search(maps, graphs):
+    found = []
+    for f in [*maps.values(), *_seeded_maps(graphs["full2"], range(300))]:
+        cert = find_decoder_block(f)
+        assert (cert and (cert.block, cert.anticipation)) == _decoder_by_every_word(f)
+        found.append(cert is not None)
+    assert found.count(True) >= 100 and found.count(False) >= 10
 
 
 def test_hyperbolic_certificates(maps):

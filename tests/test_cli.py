@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from shiftlab.cli import main
@@ -121,6 +124,29 @@ def test_map_subcommands(capsys):
     status, out, _ = run(capsys, "map", "hyperbolic", "xor.code")
     assert status == 0
     assert out == "hyperbolic word 0 d 2 k 0 blocks 00 11\n"
+
+
+def test_map_degree_xor3_exact_without_word_bound(capsys, tmp_path):
+    (tmp_path / "full2.graph").write_text("alphabet 0 1\nvertex A\nedge A A 0\nedge A A 1\n")
+    windows = "".join(
+        f"map {''.join(w)} {sum(map(int, w)) % 2}\n" for w in itertools.product("01", repeat=3)
+    )
+    path = tmp_path / "xor3.code"
+    path.write_text("code memory 0 anticipation 2\ndomain full2.graph\ncodomain full2.graph\n" + windows)
+    start = time.perf_counter()
+    status, out, _ = run(capsys, "map", "degree", str(path))
+    assert time.perf_counter() - start < 1
+    assert status == 0
+    assert out == "finite-to-one yes\ndegree 4\nmagic-word 0\nexact yes\n"
+
+
+def test_word_bound_leaves_degree_exact(capsys):
+    status, out, _ = run(capsys, "map", "degree", "xor.code", "--word-bound", "1")
+    assert status == 0 and "exact yes" in out.splitlines()
+    status, out, _ = run(capsys, "check", "t42", "xor.code", "--word-bound", "1")
+    assert status == 0 and "degree-exact yes" in out.splitlines()
+    status, _, err = run(capsys, "map", "degree", "xor.code", "--word-bound", "0")
+    assert status == 1 and "--word-bound must be positive" in err
 
 
 def test_inconclusive_exit_code(capsys):
