@@ -190,13 +190,13 @@ def criterion_6():
     """Hyperbolicity certificates: degree two for xor, one for the
     even-shift map, central blocks matching brute enumeration."""
     fx = _map("xor")
-    cx = find_hyperbolic_certificate(fx, extension_bound=10)
+    cx = find_hyperbolic_certificate(fx)
     if cx is None or cx.d != 2:
         return False
     if set(cx.central_blocks) != _brute_central_windows(fx, cx.word, cx.k):
         return False
     fe = _map("evenmap")
-    ce = find_hyperbolic_certificate(fe, extension_bound=10)
+    ce = find_hyperbolic_certificate(fe)
     if ce is None or ce.d != 1:
         return False
     return set(ce.central_blocks) == _brute_central_windows(fe, ce.word, ce.k)

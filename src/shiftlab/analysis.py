@@ -7,7 +7,10 @@ Everything is decided on finite automata after recoding the map to
 properties of path pairs: a product of the domain presentation with
 itself, walked under equal image labels.  Where a fixpoint closes the
 quantifier the verdict is exact (horizon infinity); where it does not,
-the verdict is bounded and says so.
+the verdict is bounded and says so.  The hyperbolic certificate's
+unique forward extension is exact: pairs of paths past a word w are
+walked with the KMP state of w and a lag capped at the half-width of
+w's central window, a finite state set that one reach closes.
 """
 
 import math
@@ -34,6 +37,7 @@ from .covers import (
     fischer_cover,
     _essential_subsets,
     _half_sync_sofic,
+    _nonempty_images,
 )
 from .codes import (
     BlockCode,
@@ -152,7 +156,6 @@ class HyperbolicCertificate:
     d: int
     central_blocks: tuple
     k: int
-    extension_horizon: float
 
 
 @dataclass(frozen=True)
@@ -386,38 +389,29 @@ def find_decoder_block(
     The proof is a fixpoint: close the end-vertex pairs of w under
     equal-symbol steps and demand no equal-image divergence that can
     survive k further steps, so the certificate's horizon is infinite.
+    The test depends on w only through its end set in the image
+    presentation, which reads exactly the codomain's words once the map
+    is certified onto; `bfs` yields each end set once, with its least
+    word, in length-lex order.
     """
     f1 = _one_block(f)
     _require_irreducible(f1.domain, "the domain")
     _certified_surjective(f)
-    g = f1.domain
-    phi = _phi(f1)
-    pa = PairAutomaton(g, phi)
+    pa = PairAutomaton(f1.domain, _phi(f1))
     chain = pa.survival_chain()
-    img = graph_stepper(image_presentation(f1))
-    tried = {None}  # a tried end set failed, or the search returned
-    for length in range(1, max_len + 1):
-        for w in iter_admissible_blocks(f.codomain, length):
-            ends = walk(img, w)
-            if ends in tried:
-                continue
-            tried.add(ends)
-            closure = reach(
-                [(p, q) for p in ends for q in ends],
-                lambda pq: [succ for _, a1, a2, succ in pa.transitions[pq] if a1 == a2],
-            )
-            for k in range(max_anticipation + 1):
-                surv = chain[min(k, len(chain) - 1)]
-                ok = True
-                for pq in closure:
-                    for _, a1, a2, succ in pa.transitions[pq]:
-                        if a1 != a2 and succ in surv:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return DecoderCertificate(w, k, math.inf)
+    for w, ends in _nonempty_images(graph_stepper(image_presentation(f1))):
+        if len(w) > max_len:
+            return None
+        closure = reach(
+            [(p, q) for p in ends for q in ends],
+            lambda pq: [succ for _, a1, a2, succ in pa.transitions[pq] if a1 == a2],
+        )
+        for k in range(max_anticipation + 1):
+            surv = chain[min(k, len(chain) - 1)]
+            if not any(
+                a1 != a2 and succ in surv for pq in closure for _, a1, a2, succ in pa.transitions[pq]
+            ):
+                return DecoderCertificate(w, k, math.inf)
     return None
 
 
@@ -454,115 +448,97 @@ def verify_decoder_block(f: FactorMap, w: Block, k: int, horizon: int = 10) -> b
 def _central_window_set(image_out, w, n, k, fset, pset):
     """All (F, P) limit-set combinations give the central label
     windows of w-reading paths from F into P; returns the list of
-    nonempty window sets in a fixed order."""
+    nonempty window sets in a fixed order.  The walk of w from a vertex
+    does not depend on P, so w is walked once per vertex of some F."""
     lo, hi = n - k, n + k
+    walked = {}
+    for v in set().union(*fset):
+        configs = {(v, ())}
+        for i, b in enumerate(w):
+            configs = {
+                (dst, mid + (a,) if lo <= i <= hi else mid)
+                for u, mid in configs
+                for a, dst in image_out.get((u, b), ())
+            }
+        walked[v] = configs
     results = []
     for F in fset:
+        configs = set().union(*(walked[v] for v in F))
         for P in pset:
-            configs = {(v, ()) for v in F}
-            for i, b in enumerate(w):
-                central = lo <= i <= hi
-                nxt = set()
-                for v, mid in configs:
-                    for a, dst in image_out.get((v, b), ()):
-                        nxt.add((dst, mid + (a,) if central else mid))
-                configs = nxt
-                if not configs:
-                    break
             mids = {mid for v, mid in configs if v in P}
             if mids:
                 results.append(mids)
     return results
 
 
-def _condition_two(g, phi, image_out, w, n, k, block, extension_bound):
-    """Uniqueness of forward extensions for one central block.
+def _kmp_automaton(w):
+    """delta[s][b], for s = 0..|w| and b a symbol of w: the longest
+    prefix of w that w[:s] + (b,) ends with (Knuth, Morris & Pratt).
+    Any symbol not in w leads to 0."""
+    delta = [{b: int(b == w[0]) for b in w}]
+    x = 0  # the state after w[1:s]
+    for s in range(1, len(w) + 1):
+        delta.append(dict(delta[x]))
+        if s < len(w):
+            delta[s][w[s]] = s + 1
+            x = delta[x][w[s]]
+    return delta
 
-    Walks pairs of preimage paths of a common image word that begins
-    and ends with w, both showing the central block; a label
-    divergence inside the determined window refutes uniqueness.  Exact
-    up to the extension bound; upgraded to an unbounded proof when no
-    divergence is reachable at all."""
-    length = len(w)
+
+def _condition_two(pa: PairAutomaton, w, n, k, block) -> bool:
+    """Uniqueness of forward extensions for one central block, decided
+    exactly on the pair automaton of the one-block domain.
+
+    The block is refuted by two preimage paths of one image word w y
+    that ends in w, both showing the block on w's central window
+    [n - k, n + k], whose labels differ at some i with
+    n + k < i <= |y| + n + k: the first divergence after the block lies
+    no later than the central window of the completed w.  The search
+    runs over states (p, q, s, lag): p and q end the two paths, s is
+    the KMP state of w (the longest prefix of w the image read so far
+    ends with), and lag counts the steps left before the earliest
+    divergence lies inside a completed w's central window.  lag is inf
+    before a divergence, n - k right after one, and one less per step,
+    floored at 0.  Reading w with the central labels forced, where only
+    divergences after the window count, gives the start states; the
+    block is refuted iff a state with s = |w| and lag 0 is reached.
+    There are at most |V|^2 (|w| + 1) (n - k + 2) states, so one reach
+    decides it with no length bound."""
     lo, hi = n - k, n + k
-    symbols = sorted({b for (_, b) in image_out}, key=str)
-    # phase A: read w, central labels forced to the block
-    configs = {}
-    for p in g.vertices:
-        for q in g.vertices:
-            configs[(p, q)] = math.inf
+    kmp = _kmp_automaton(w)
+    # lag -> (lag after an equal step, lag after a divergent step)
+    later = {lag: (max(lag - 1, 0), min(max(lag - 1, 0), n - k)) for lag in (math.inf, *range(n - k + 1))}
+    starts = {(p, q, math.inf) for p, q in pa.states}
     for i, b in enumerate(w):
-        central = lo <= i <= hi
-        forced = block[i - lo] if central else None
-        nxt = {}
-        for (p, q), need in configs.items():
-            for a1, r in image_out.get((p, b), ()):
-                if central and a1 != forced:
-                    continue
-                for a2, s in image_out.get((q, b), ()):
-                    if central and a2 != forced:
-                        continue
-                    nd = need
-                    if a1 != a2 and i > hi:
-                        nd = min(nd, i - n - k)
-                    key = (r, s)
-                    if nxt.get(key, math.inf) > nd:
-                        nxt[key] = nd
-        configs = nxt
-    # phase B: extend with a rolling image buffer, watching for a
-    # completed w-suffix while a recorded divergence is in window
-    state = {}
-    for (p, q), need in configs.items():
-        state[(p, q, w)] = min(state.get((p, q, w), math.inf), need)
-    for j in range(1, max(0, extension_bound - length) + 1):
-        nxt = {}
-        for (p, q, buf), need in state.items():
-            for b in symbols:
-                for a1, r in image_out.get((p, b), ()):
-                    for a2, s in image_out.get((q, b), ()):
-                        nd = need
-                        if a1 != a2:
-                            nd = min(nd, n + j - k)
-                        nbuf = (buf + (b,))[-length:]
-                        key = (r, s, nbuf)
-                        if nxt.get(key, math.inf) > nd:
-                            nxt[key] = nd
-        state = nxt
-        for (p, q, buf), need in state.items():
-            if buf == w and need <= j:
-                return False, extension_bound
-    # unbounded upgrade: no reachable pair admits any divergence
-    if any(need < math.inf for need in configs.values()):
-        return True, extension_bound
+        forced = block[i - lo] if lo <= i <= hi else None
+        starts = {
+            (r, t, later[lag][i > hi and a1 != a2])
+            for p, q, lag in starts
+            for c, a1, a2, (r, t) in pa.transitions[p, q]
+            if c == b and (forced is None or a1 == a2 == forced)
+        }
 
-    def moves(pq):
-        """(labels differ, successor pair) for each equal-image step."""
-        p, q = pq
-        return [
-            (a1 != a2, (r, s))
-            for b in symbols
-            for a1, r in image_out.get((p, b), ())
-            for a2, s in image_out.get((q, b), ())
-        ]
+    def succ(state):
+        p, q, s, lag = state
+        row, steps = kmp[s], later[lag]
+        return [(r, t, row.get(b, 0), steps[a1 != a2]) for b, a1, a2, (r, t) in pa.transitions[p, q]]
 
-    closure = reach(configs, lambda pq: [rs for differ, rs in moves(pq) if not differ])
-    divergent = any(differ for pq in closure for differ, _ in moves(pq))
-    return True, extension_bound if divergent else math.inf
+    reached = reach([(p, q, len(w), lag) for p, q, lag in starts], succ)
+    return not any(s == len(w) and lag == 0 for _, _, s, lag in reached)
 
 
 def find_hyperbolic_certificate(
     f: FactorMap,
     word_bound: int = 8,
     k_bound: int = 4,
-    extension_bound: int = 10,
 ) -> Optional[HyperbolicCertificate]:
     """First odd image word w and least k whose preimage central
     windows form one fixed set of d blocks over all points showing w
     (limit-set analysis, exact), with uniquely determined forward
-    extensions (pair analysis, exact to extension_bound or proven
-    outright).  Search order: |w| odd ascending, w lex, k ascending;
-    k is capped at the half-width so the central window stays inside
-    the image window."""
+    extensions (one reach over (p, q, KMP state of w, lag) per block,
+    exact: see _condition_two).  Search order: |w| odd ascending, w
+    lex, k ascending; k is capped at the half-width so the central
+    window stays inside the image window."""
     if not is_finite_to_one(f):
         raise NotFiniteToOneError("hyperbolicity needs a finite-to-one map")
     _certified_surjective(f)
@@ -570,6 +546,7 @@ def find_hyperbolic_certificate(
     g = f1.domain
     phi = _phi(f1)
     image_out = _image_out(g, phi)
+    pa = PairAutomaton(g, phi)
     img = image_presentation(f1)
     rev = LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges])
     # the constraint sets an infinite image past (future) leaves behind
@@ -589,20 +566,8 @@ def find_hyperbolic_certificate(
                 center = tuple(w[n - k : n + k + 1])
                 if any(tuple(phi[a] for a in m) != center for m in blocks):
                     raise InvariantError(f"a central block does not map onto {format_block(center)}")
-                ok = True
-                horizon = math.inf
-                for m in blocks:
-                    good, h = _condition_two(
-                        g, phi, image_out, w, n, k, m, extension_bound
-                    )
-                    if not good:
-                        ok = False
-                        break
-                    horizon = min(horizon, h)
-                if ok:
-                    return HyperbolicCertificate(
-                        w, n, len(blocks), blocks, k, horizon
-                    )
+                if all(_condition_two(pa, w, n, k, m) for m in blocks):
+                    return HyperbolicCertificate(w, n, len(blocks), blocks, k)
     return None
 
 
@@ -739,14 +704,13 @@ def check_theorem_3_3(
     horizons=(4, 6, 8),
     word_bound: int = 8,
     k_bound: int = 4,
-    extension_bound: int = 10,
     block_len: int = 2,
 ) -> TheoremReport:
     """Under a hyperbolic certificate, half-synchronized verdicts for
     domain and codomain must agree; additionally the certificate's
     first central block must itself be half-synchronizing on the
     domain whenever the certificate word is on the codomain."""
-    cert = find_hyperbolic_certificate(f, word_bound, k_bound, extension_bound)
+    cert = find_hyperbolic_certificate(f, word_bound, k_bound)
     if cert is None:
         return TheoremReport(
             "t33",
@@ -806,7 +770,6 @@ def check_theorem_3_4(
     f_zw: FactorMap,
     word_bound: int = 8,
     k_bound: int = 4,
-    extension_bound: int = 10,
 ) -> TheoremReport:
     """One transitivity instance of the common-extension relation:
     fiber the two maps onto the shared middle system, pick a both-onto
@@ -823,7 +786,7 @@ def check_theorem_3_4(
         ("f-yw", f_yw),
         ("f-zw", f_zw),
     ):
-        cert = find_hyperbolic_certificate(fm, word_bound, k_bound, extension_bound)
+        cert = find_hyperbolic_certificate(fm, word_bound, k_bound)
         if cert is None:
             return TheoremReport(
                 "t34",
@@ -850,8 +813,8 @@ def check_theorem_3_4(
     }
     left = _compose_through_component(f_xv, f_yv, gamma.graph, pair_of, 0)
     right = _compose_through_component(f_zw, f_yw, gamma.graph, pair_of, 1)
-    c_left = find_hyperbolic_certificate(left, word_bound, k_bound, extension_bound)
-    c_right = find_hyperbolic_certificate(right, word_bound, k_bound, extension_bound)
+    c_left = find_hyperbolic_certificate(left, word_bound, k_bound)
+    c_right = find_hyperbolic_certificate(right, word_bound, k_bound)
     facts = [
         ("component-vertices", str(len(gamma.graph.vertices))),
         ("left-certificate", "yes" if c_left else "no"),

@@ -219,12 +219,7 @@ def _cmd_map(cfg: RunConfig, out: _Printer) -> int:
             return EXIT_INCONCLUSIVE
         out.row("decoder-block", format_block(cert.block), "anticipation", cert.anticipation)
         return EXIT_OK
-    cert = find_hyperbolic_certificate(
-        f,
-        word_bound=cfg.word_bound,
-        k_bound=cfg.max_anticipation,
-        extension_bound=cfg.horizon,
-    )
+    cert = find_hyperbolic_certificate(f, word_bound=cfg.word_bound, k_bound=cfg.max_anticipation)
     if cert is None:
         out.row("hyperbolic", "none")
         return EXIT_INCONCLUSIVE
@@ -296,7 +291,9 @@ def _bound_flags(parser, leaf):
     d = argparse.SUPPRESS if leaf else None
     parser.add_argument("--max-len", type=int, metavar="N", default=d or 8)
     parser.add_argument("--anticipation", type=int, metavar="N", default=d or 4)
-    parser.add_argument("--horizon", type=int, metavar="N", default=d or 8)
+    parser.add_argument("--horizon", type=int, metavar="N", default=d or 8,
+                        help="horizon of sync half|check; map hyperbolic decides forward extension exactly "
+                        "and takes no horizon")
     parser.add_argument("--delay", type=int, metavar="N", default=d or 6)
     parser.add_argument("--word-bound", type=int, metavar="N", default=d or 8,
                         help="longest image word of the hyperbolic-certificate search (map hyperbolic, "

@@ -4,6 +4,8 @@ Everything here walks paths or strings directly and ignores the
 library's automata constructions on purpose.
 """
 
+import itertools
+
 
 def path_words(g, n):
     """Label words of all n-edge paths, as a set."""
@@ -195,6 +197,25 @@ def preimage_blocks(f1, w):
             if phi[lab] == w[len(x)]:
                 stack.append((t, x + (lab,)))
     return found
+
+
+def forward_extension_witness(f1, w, k, block, max_j):
+    """The least image word x = w y, with 1 <= |y| <= max_j and x ending
+    in w, whose preimage blocks showing `block` on w's central window
+    [n - k, n + k] (n the half-width of w) do not all agree on
+    (n + k, |y| + n + k]; None if there is none.  Every y is listed,
+    shortest first, and x's preimage blocks are enumerated whole."""
+    n = len(w) // 2
+    lo, hi = n - k, n + k
+    for j in range(1, max_j + 1):
+        for y in itertools.product(f1.codomain.alphabet.symbols, repeat=j):
+            x = tuple(w) + y
+            if x[-len(w):] != tuple(w):
+                continue
+            shown = [u for u in preimage_blocks(f1, x) if u[lo : hi + 1] == tuple(block)]
+            if any(len({u[i] for u in shown}) > 1 for i in range(hi + 1, j + hi + 1)):
+                return x
+    return None
 
 
 def degree_by_words(f1, n):

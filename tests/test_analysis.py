@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from brute import degree_by_words, preimage_blocks
+from brute import degree_by_words, forward_extension_witness, preimage_blocks
 from shiftlab import analysis, covers
 from shiftlab.analysis import (
     AGREE_NEGATIVE,
@@ -287,12 +287,14 @@ def test_decoder_search_matches_every_word_search(maps, graphs):
 
 
 def test_hyperbolic_certificates(maps):
-    cert = find_hyperbolic_certificate(maps["xor"], extension_bound=10)
+    cert = find_hyperbolic_certificate(maps["xor"])
     assert format_block(cert.word) == "0"
     assert (cert.d, cert.k) == (2, 0)
     assert sorted(format_block(b) for b in cert.central_blocks) == ["00", "11"]
-    assert cert.extension_horizon == math.inf
-    cert = find_hyperbolic_certificate(maps["evenmap"], extension_bound=10)
+    f1 = recode_to_one_block(maps["xor"])
+    for m in cert.central_blocks:
+        assert forward_extension_witness(f1, cert.word, cert.k, m, 8) is None
+    cert = find_hyperbolic_certificate(maps["evenmap"])
     assert (format_block(cert.word), cert.d) == ("1", 1)
     assert [format_block(b) for b in cert.central_blocks] == ["a"]
     cert = find_hyperbolic_certificate(maps["identity"])
@@ -302,7 +304,7 @@ def test_hyperbolic_certificates(maps):
 def test_hyperbolic_blocks_match_enumeration(maps):
     for name in ("xor", "evenmap", "identity"):
         f = maps[name]
-        cert = find_hyperbolic_certificate(f, extension_bound=10)
+        cert = find_hyperbolic_certificate(f)
         f1 = recode_to_one_block(f)
         n = len(cert.word) // 2
         brute = set()
@@ -316,6 +318,139 @@ def test_hyperbolic_on_golden_identity(graphs):
     cert = find_hyperbolic_certificate(f)
     assert (format_block(cert.word), cert.d) == ("0", 1)
 
+
+def test_kmp_automaton_matches_its_definition():
+    for n in range(1, 7):
+        for w in itertools.product("01", repeat=n):
+            delta = analysis._kmp_automaton(w)
+            for s in range(n + 1):
+                for b in "01":
+                    read = w[:s] + (b,)
+                    want = max(t for t in range(min(s + 1, n) + 1) if read[len(read) - t :] == w[:t])
+                    assert delta[s].get(b, 0) == want
+
+
+def _onto_image(g, phi):
+    """The one-block map of g sending a to phi[a] in 0 1, onto its image."""
+    full2 = Alphabet(("0", "1"))
+    code = BlockCode(0, 0, {(a,): b for a, b in phi.items()}, g.alphabet, full2)
+    onto = LabeledGraph(full2, ["v"], [("v", "v", "0"), ("v", "v", "1")])
+    return FactorMap(code, g, image_presentation(FactorMap(code, g, onto)))
+
+
+def _collapse_maps(seeds):
+    """Per seed, the first finite-to-one letter collapse of a b c onto
+    0 1 drawn on a 4-vertex ring of a-edges with random b- and c-edges."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        f = None
+        while f is None or not is_finite_to_one(f):
+            edges = {(f"q{i}", f"q{(i + 1) % 4}", "a") for i in range(4)}
+            edges |= {(f"q{i}", f"q{rng.randrange(4)}", lab) for i in range(4) for lab in "bc" if rng.random() < 0.6}
+            g = LabeledGraph(Alphabet(tuple("abc")), [f"q{i}" for i in range(4)], edges)
+            merged = rng.sample("abc", 2)
+            f = _onto_image(g, {a: "0" if a in merged else "1" for a in "abc"})
+        yield f
+
+
+def _higher_block_maps(seeds):
+    """The first-symbol map from the 2-block code of a random a b c
+    graph onto itself."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        edges = {(f"q{i}", f"q{(i + 1) % 3}", "a") for i in range(3)}
+        edges |= {(f"q{i}", f"q{rng.randrange(3)}", lab) for i in range(3) for lab in "bc" if rng.random() < 0.6}
+        g = LabeledGraph(Alphabet(tuple("abc")), [f"q{i}" for i in range(3)], edges)
+        wm = {w: w[0] for w in itertools.product("abc", repeat=2)}
+        yield FactorMap(BlockCode(0, 1, wm, g.alphabet, g.alphabet), g, g)
+
+
+def _condition_two_cases():
+    """(one-block map, pair automaton, w, n, k, block) for every block
+    shown by an image word of length 1 or 3 of seeded collapse and
+    higher-block maps."""
+    for f in [*_collapse_maps(range(24)), *_higher_block_maps(range(6))]:
+        f1 = recode_to_one_block(f)
+        pa = PairAutomaton(f1.domain, analysis._phi(f1))
+        for w in [*blocks_of_length(f.codomain, 1), *blocks_of_length(f.codomain, 3)]:
+            n = len(w) // 2
+            for k in range(n + 1):
+                for m in sorted({x[n - k : n + k + 1] for x in preimage_blocks(f1, w)}):
+                    yield f1, pa, w, n, k, m
+
+
+def test_condition_two_searches_a_finite_state_set(monkeypatch):
+    """Every state stepped to lies in V x V x 0..|w| x ({inf} | 0..n - k),
+    so the search ends and its verdict needs no length bound."""
+    cases = list(_condition_two_cases())
+    shape = []
+
+    def in_range(state):
+        w, n, k = shape[-1]
+        _, _, s, lag = state
+        assert 0 <= s <= len(w) and (lag == math.inf or 0 <= lag <= n - k), state
+        return state
+
+    monkeypatch.setattr(analysis, "reach", lambda starts, succ: reach(starts, lambda st: map(in_range, succ(st))))
+    for f1, pa, w, n, k, m in cases:
+        shape.append((w, n, k))
+        analysis._condition_two(pa, w, n, k, m)
+
+
+def test_condition_two_matches_brute_enumeration():
+    """Every refutation has an enumerated witness and no holding block
+    has one."""
+    verdicts = []
+    for f1, pa, w, n, k, m in _condition_two_cases():
+        holds = analysis._condition_two(pa, w, n, k, m)
+        assert holds == (forward_extension_witness(f1, w, k, m, 8) is None), (w, k, m)
+        verdicts.append(holds)
+    assert verdicts.count(True) >= 300 and verdicts.count(False) >= 400
+
+
+# letter collapses of a b c with a -> 1, b, c -> 0 that the map-analysis
+# benchmark draws at seeds 507 and 509
+SEED_507 = """alphabet a b c
+vertex q0
+vertex q1
+vertex q2
+vertex q3
+edge q0 q0 c
+edge q0 q1 a
+edge q1 q2 a
+edge q2 q0 c
+edge q2 q3 a
+edge q3 q0 a
+edge q3 q0 b
+"""
+SEED_509 = """alphabet a b c
+vertex q0
+vertex q1
+vertex q2
+vertex q3
+edge q0 q1 a
+edge q0 q3 c
+edge q1 q2 a
+edge q1 q2 b
+edge q2 q1 b
+edge q2 q3 a
+edge q3 q0 a
+edge q3 q3 b
+"""
+
+
+def test_hyperbolic_certificates_that_enumeration_refutes():
+    """Both maps took the certificate word 1, d 1, k 0, block a while
+    forward extension went unchecked; enumeration refutes that block."""
+    phi = {"a": "1", "b": "0", "c": "0"}
+    for text in (SEED_507, SEED_509):
+        f1 = recode_to_one_block(_onto_image(parse_graph(text), phi))
+        assert forward_extension_witness(f1, ("1",), 0, ("a",), 8) is not None
+    f = _onto_image(parse_graph(SEED_507), phi)
+    cert = find_hyperbolic_certificate(f)
+    assert (format_block(cert.word), cert.d, cert.k, cert.central_blocks) == ("000", 1, 0, (("c",),))
+    assert forward_extension_witness(recode_to_one_block(f), cert.word, 0, ("c",), 8) is None
+    assert find_hyperbolic_certificate(_onto_image(parse_graph(SEED_509), phi)) is None
 
 def test_fiber_product_identity(maps):
     f = maps["identity"]
