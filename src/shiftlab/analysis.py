@@ -27,9 +27,12 @@ from .core import (
     is_admissible,
     is_irreducible,
     iter_admissible_blocks,
+    mask_vertices,
     reach,
+    reachable,
     strong_components,
     trim_to_essential,
+    vertex_mask,
     walk,
 )
 from .covers import (
@@ -277,9 +280,11 @@ def degree(f: FactorMap) -> DegreeReport:
     img = image_presentation(f1)
     fwd = graph_stepper(img)
     back = graph_stepper(LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges]))
+    # the domain's edges by image symbol, with image-stepper masks of their ends
+    bit = {v: vertex_mask(img, [v]) for v in img.vertices}
     by_img = {}
     for src, dst, a in g.edges:
-        by_img.setdefault(phi[a], []).append((src, dst, a))
+        by_img.setdefault(phi[a], []).append((bit[src], bit[dst], a))
     index = img.alphabet.index
     # v for every backward set, built forward: v = c v' with v' least
     # for a set one layer nearer the full set; layers stay sorted
@@ -299,12 +304,12 @@ def degree(f: FactorMap) -> DegreeReport:
     for u, s in bfs(fwd.start, fwd.moves):
         iu = tuple(map(index, u))
         for b in img.alphabet.symbols:
-            edges = [(dst, a) for src, dst, a in by_img.get(b, ()) if src in s]
+            edges = [(dst, a) for src, dst, a in by_img.get(b, ()) if src & s]
             if not edges:
                 continue
             ib = (index(b),)
             for t, v, iv in backward:
-                c = len({a for dst, a in edges if dst in t})
+                c = len({a for dst, a in edges if dst & t})
                 if c and (best is None or c <= best[0]):
                     key = (c, len(u) + 1 + len(v), iu + ib + iv)
                     if best is None or key < best:
@@ -312,7 +317,7 @@ def degree(f: FactorMap) -> DegreeReport:
 
     def count(i):
         s, t = walk(fwd, w[:i]), walk(back, w[:i:-1])
-        return len({a for src, dst, a in by_img[w[i]] if src in s and dst in t})
+        return len({a for src, dst, a in by_img[w[i]] if src & s and dst & t})
 
     return DegreeReport(True, best[0], w, tuple(map(count, range(len(w)))))
 
@@ -399,9 +404,11 @@ def find_decoder_block(
     _certified_surjective(f)
     pa = PairAutomaton(f1.domain, _phi(f1))
     chain = pa.survival_chain()
-    for w, ends in _nonempty_images(graph_stepper(image_presentation(f1))):
+    img = image_presentation(f1)
+    for w, mask in _nonempty_images(graph_stepper(img)):
         if len(w) > max_len:
             return None
+        ends = mask_vertices(img, mask)
         closure = reach(
             [(p, q) for p in ends for q in ends],
             lambda pq: [succ for _, a1, a2, succ in pa.transitions[pq] if a1 == a2],
@@ -428,7 +435,8 @@ def verify_decoder_block(f: FactorMap, w: Block, k: int, horizon: int = 10) -> b
         )
     g = f1.domain
     phi = _phi(f1)
-    ends = walk(graph_stepper(image_presentation(f1)), w) or ()
+    img = image_presentation(f1)
+    ends = mask_vertices(img, walk(graph_stepper(img), w) or 0)
     for n in range(1, horizon + 1):
         layer = {(p, q, False) for p in ends for q in ends}
         for step in range(1, n + k + 1):
@@ -502,8 +510,9 @@ def _condition_two(pa: PairAutomaton, w, n, k, block) -> bool:
     floored at 0.  Reading w with the central labels forced, where only
     divergences after the window count, gives the start states; the
     block is refuted iff a state with s = |w| and lag 0 is reached.
-    There are at most |V|^2 (|w| + 1) (n - k + 2) states, so one reach
-    decides it with no length bound."""
+    There are at most |V|^2 (|w| + 1) (n - k + 2) states, so one search
+    decides it with no length bound; it stops at the first refuting
+    state."""
     lo, hi = n - k, n + k
     kmp = _kmp_automaton(w)
     # lag -> (lag after an equal step, lag after a divergent step)
@@ -523,7 +532,7 @@ def _condition_two(pa: PairAutomaton, w, n, k, block) -> bool:
         row, steps = kmp[s], later[lag]
         return [(r, t, row.get(b, 0), steps[a1 != a2]) for b, a1, a2, (r, t) in pa.transitions[p, q]]
 
-    reached = reach([(p, q, len(w), lag) for p, q, lag in starts], succ)
+    reached = reachable([(p, q, len(w), lag) for p, q, lag in starts], succ)
     return not any(s == len(w) and lag == 0 for _, _, s, lag in reached)
 
 
@@ -550,8 +559,8 @@ def find_hyperbolic_certificate(
     img = image_presentation(f1)
     rev = LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges])
     # the constraint sets an infinite image past (future) leaves behind
-    fset = sorted(_essential_subsets(img)[0], key=sorted)
-    pset = sorted(_essential_subsets(rev)[0], key=sorted)
+    fset = [frozenset(t) for t in sorted(mask_vertices(img, s) for s in _essential_subsets(img)[0])]
+    pset = [frozenset(t) for t in sorted(mask_vertices(rev, s) for s in _essential_subsets(rev)[0])]
     for length in range(1, word_bound + 1, 2):
         n = (length - 1) // 2
         for w in iter_admissible_blocks(f.codomain, length):

@@ -89,8 +89,7 @@ class _Printer:
 
     def text(self, block_text: str):
         # graph/code file bodies: rows of space-separated fields
-        for line in block_text.strip().splitlines():
-            self.row(*line.split(" "))
+        print(block_text.strip().replace(" ", self.sep))
 
 
 def _yes(flag) -> str:

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import compress, product
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -46,7 +46,7 @@ class Alphabet:
             raise ValueError("alphabet must be non-empty")
         seen = set()
         for s in symbols:
-            if not isinstance(s, str) or not s or any(c.isspace() for c in s):
+            if not isinstance(s, str) or s.split() != [s]:
                 raise ValueError(f"bad symbol {s!r}")
             if s in seen:
                 raise ValueError(f"duplicate symbol {s!r}")
@@ -136,20 +136,20 @@ class LabeledGraph:
     built from the same data compare equal structurally.
     """
 
-    __slots__ = ("alphabet", "vertices", "edges", "_out", "_in_deg", "_step")
+    __slots__ = ("alphabet", "vertices", "edges", "_out", "_in_deg", "_index", "_stepper")
 
     def __init__(self, alphabet: Alphabet, vertices, edges):
         self.alphabet = alphabet
         vertices = tuple(sorted(set(vertices)))
         for v in vertices:
-            if not isinstance(v, str) or not v or any(c.isspace() for c in v):
+            if not isinstance(v, str) or v.split() != [v]:
                 raise ValueError(f"bad vertex name {v!r}")
         self.vertices = vertices
-        vset = set(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
         seen = set()
         for e in edges:
             src, dst, lab = e
-            if src not in vset or dst not in vset:
+            if src not in index or dst not in index:
                 raise ValueError(f"edge {e!r} uses undeclared vertex")
             if lab not in alphabet:
                 raise ValueError(f"edge {e!r} uses undeclared symbol")
@@ -161,17 +161,13 @@ class LabeledGraph:
         )
         out = {v: [] for v in vertices}
         in_deg = {v: 0 for v in vertices}
-        step = {lab: {} for lab in alphabet}
         for src, dst, lab in self.edges:
             out[src].append((lab, dst))
             in_deg[dst] += 1
-            step[lab].setdefault(src, []).append(dst)
         self._out = out
         self._in_deg = in_deg
-        # label -> vertex -> sorted targets
-        self._step = {
-            lab: {v: tuple(sorted(ts)) for v, ts in row.items()} for lab, row in step.items()
-        }
+        self._index = index  # vertex -> its bit in a vertex mask
+        self._stepper = None  # built by the first graph_stepper call
 
     def __eq__(self, other):
         return (
@@ -193,7 +189,7 @@ class LabeledGraph:
 
     def step(self, v, label) -> tuple:
         """Targets of label-edges leaving v (sorted tuple, possibly empty)."""
-        return self._step.get(label, {}).get(v, ())
+        return tuple(dst for lab, dst in self._out.get(v, ()) if lab == label)
 
     def to_text(self) -> str:
         lines = ["alphabet " + " ".join(self.alphabet.symbols)]
@@ -346,16 +342,28 @@ def strong_components(nodes, succ) -> list:
     return comps
 
 
-def reach(starts, succ) -> set:
-    """Every node reachable from `starts` (included) along `succ`."""
-    seen = set(starts)
-    todo = list(seen)
+def reachable(starts, succ):
+    """Every node reachable from `starts` (included) along `succ`, each
+    yielded once, as soon as it is first seen: a caller that stops at
+    the first match has stepped no more nodes than it needed."""
+    seen = set()
+    todo = []
+    for s in starts:
+        if s not in seen:
+            seen.add(s)
+            todo.append(s)
+            yield s
     while todo:
         for t in succ(todo.pop()):
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
-    return seen
+                yield t
+
+
+def reach(starts, succ) -> set:
+    """Every node reachable from `starts` (included) along `succ`."""
+    return set(reachable(starts, succ))
 
 
 def bfs(start, moves):
@@ -387,7 +395,8 @@ class Stepper(NamedTuple):
     is never a live state (an empty Dyck stack `()` is live), and a
     stepper whose start is None reads nothing, not even the empty word.
     `step` is a plain function, so a walk pays no method dispatch per
-    symbol.
+    symbol.  The subset walks of `mask_stepper` and `graph_stepper`
+    have int states, vertex sets as bit masks.
     """
 
     alphabet: Alphabet
@@ -408,17 +417,61 @@ class Stepper(NamedTuple):
                 yield sym, t
 
 
-def graph_stepper(g: LabeledGraph, start=None) -> Stepper:
-    """The subset walk of g: a state is the set of vertices some path
-    reading the word so far can end at, starting from `start` (default:
-    every vertex)."""
-    succ = g._step
+# bin(mask) digits -> selector bytes for compress
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> bytes:
+    """One selector byte per bit of the mask, lowest bit first."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)
+
+
+def mask_stepper(alphabet: Alphabet, succ: dict, start: int) -> Stepper:
+    """The subset walk of a finite automaton: a state is the int mask of
+    the automaton states some run reading the word so far can end at,
+    where succ[sym][i] is the mask of the sym-successors of state i.
+
+    This is the package's one subset step.  A step ORs the successor
+    masks of the state's set bits, taking the lowest set bit off until
+    none is left."""
 
     def step(s, sym):
-        row = succ.get(sym, {})
-        return frozenset(chain.from_iterable(map(row.get, s, repeat(())))) or None
+        row = succ.get(sym)
+        if row is None:
+            return None
+        t = 0
+        while s:
+            low = s & -s
+            t |= row[low.bit_length() - 1]
+            s ^= low
+        return t or None
 
-    return Stepper(g.alphabet, frozenset(g.vertices if start is None else start) or None, step)
+    return Stepper(alphabet, start or None, step)
+
+
+def graph_stepper(g: LabeledGraph) -> Stepper:
+    """The subset walk of g from every vertex: a state is the mask of
+    the vertices some path reading the word so far can end at, bit i
+    standing for g.vertices[i] (see `vertex_mask`, `mask_vertices`).
+    The successor masks are built on the first call and kept with the
+    graph, so a graph that is only printed holds none."""
+    if g._stepper is None:
+        index = g._index
+        succ = {lab: [0] * len(index) for lab in g.alphabet}
+        for src, dst, lab in g.edges:
+            succ[lab][index[src]] |= 1 << index[dst]
+        g._stepper = mask_stepper(g.alphabet, succ, (1 << len(index)) - 1)
+    return g._stepper
+
+
+def vertex_mask(g: LabeledGraph, vertices) -> int:
+    """The mask of a collection of g's vertices."""
+    return sum(1 << g._index[v] for v in set(vertices))
+
+
+def mask_vertices(g: LabeledGraph, mask: int) -> tuple:
+    """The vertices of a mask, in g's (sorted) vertex order."""
+    return tuple(compress(g.vertices, _bits(mask)))
 
 
 def memoized(st: Stepper) -> Stepper:
@@ -532,7 +585,10 @@ def image_set(g: LabeledGraph, w: Block, start=None) -> tuple:
     `start` defaults to all vertices; an empty result means w is not
     admissible from `start`.
     """
-    return tuple(sorted(walk(graph_stepper(g, start), w) or ()))
+    st = graph_stepper(g)
+    if start is not None:
+        st = st.at(vertex_mask(g, start) or None)
+    return mask_vertices(g, walk(st, w) or 0)
 
 
 def is_admissible(g: LabeledGraph, w: Block) -> bool:

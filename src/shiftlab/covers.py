@@ -1,11 +1,15 @@
 """Follower-set determinization, Fischer covers, and synchronization.
 
 The subset automaton's states are the vertex sets image_set(g, w) over
-admissible w; an a-labeled edge maps S to image_set(g, a, S).  One
-construction, `_fischer_automaton`, merges by language class the states
-of g itself when g is irreducible and right-resolving, else those of the
-subset automaton's essential part, and on irreducible g keeps the one
-component no edge leaves: the Fischer automaton.  `fischer_cover` names
+admissible w; an a-labeled edge maps S to image_set(g, a, S).  A state
+is an int mask of g's vertices, stepped by `core.graph_stepper`, and is
+turned into vertex names only where it is named or its vertices are
+read.  Language classes come from Moore refinement over per-symbol
+successor columns.  One construction, `_fischer_automaton`, merges by
+language class the states of g itself when g is irreducible and
+right-resolving, else those of the subset automaton's essential part,
+and on irreducible g keeps the one component no edge leaves: the
+Fischer automaton.  `fischer_cover` names
 a class by its vertex set on right-resolving input, else by the least
 subset-cover name among its sets.  One-class rule: v is synchronizing
 iff walking v from every class ends in one class; `context_bound` limits
@@ -45,10 +49,13 @@ from .core import (
     is_right_resolving,
     iter_admissible_blocks,
     iter_blocks,
+    mask_stepper,
+    mask_vertices,
     memoized,
     require_essential,
     strong_components,
     trim_to_essential,
+    vertex_mask,
     walk,
 )
 from .errors import (
@@ -91,24 +98,22 @@ class HalfSyncVerdict:
 def _subset_automaton(g):
     """Subsets reachable from the full vertex set, with transitions.
 
-    Returns (order, trans): order lists the subsets in breadth-first
-    discovery order starting at the full set; trans maps (S, symbol)
-    to the image subset, omitting empty images.
+    Returns (order, trans): order lists the subsets, as `graph_stepper`
+    masks, in breadth-first discovery order starting at the full set;
+    trans maps (S, symbol) to the image subset, omitting empty images.
     """
     st = graph_stepper(g)
     if st.start is None:
         return [], {}
+    step, symbols = st.step, g.alphabet.symbols
     order = [st.start]
     seen = {st.start}
     trans = {}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for sym in g.alphabet:
-            t = st.step(s, sym)
+    for s in order:
+        for sym in symbols:
+            t = step(s, sym)
             if t is not None:
-                trans[(s, sym)] = t
+                trans[s, sym] = t
                 if t not in seen:
                     seen.add(t)
                     order.append(t)
@@ -133,8 +138,9 @@ def _essential_subsets(g):
     return [s for s in order if indeg[s]], trans
 
 
-def _set_name(s) -> str:
-    return "{" + ",".join(sorted(s)) + "}"
+def _set_name(vertices) -> str:
+    """The name of a set of vertices, listed in sorted order."""
+    return "{" + ",".join(vertices) + "}"
 
 
 def subset_cover(g: LabeledGraph) -> LabeledGraph:
@@ -145,9 +151,10 @@ def subset_cover(g: LabeledGraph) -> LabeledGraph:
     """
     require_essential(g)
     order, trans = _essential_subsets(g)
-    edges = [(_set_name(s), _set_name(trans[s, sym]), sym)
-             for s in order for sym in g.alphabet if (s, sym) in trans]
-    return LabeledGraph(g.alphabet, map(_set_name, order), edges)
+    name = {s: _set_name(mask_vertices(g, s)) for s in order}
+    edges = [(name[s], name[t], sym)
+             for s in order for sym in g.alphabet.symbols if (t := trans.get((s, sym)))]
+    return LabeledGraph(g.alphabet, name.values(), edges)
 
 
 def _moore_classes(order, trans, alphabet):
@@ -156,20 +163,20 @@ def _moore_classes(order, trans, alphabet):
     in one class iff exactly the same words are readable from them.
     Moore refinement from one class over state indices, where a dead
     successor is the extra index n, of class -1; ids are numbered in
-    order of first appearance."""
+    order of first appearance.  A round reads the successor classes
+    column by column, one column per symbol, and stops early once every
+    state is alone in its class."""
     n = len(order)
     index = {s: i for i, s in enumerate(order)}
-    succ = [tuple(index.get(trans.get((s, sym)), n) for sym in alphabet) for s in order]
+    cols = [[index.get(trans.get((s, sym)), n) for s in order] for sym in alphabet]
     cls = [0] * n + [-1]
     while True:
+        get = cls.__getitem__
         sig_ids = {}
-        new = [
-            sig_ids.setdefault((c, tuple(map(cls.__getitem__, row))), len(sig_ids))
-            for c, row in zip(cls, succ)
-        ]
+        new = [sig_ids.setdefault(sig, len(sig_ids)) for sig in zip(cls, *[map(get, col) for col in cols])]
         new.append(-1)
-        if new == cls:
-            return dict(zip(order, cls))
+        if new == cls or len(sig_ids) == n:
+            return dict(zip(order, new))
         cls = new
 
 
@@ -234,19 +241,20 @@ def find_synchronizing_word(g: LabeledGraph, max_len: int) -> Optional[Block]:
     image in the subset cover is a single vertex, or None if there is
     none of length <= max_len.  `bfs` over the image sets of the subset
     cover yields each set with its least word, in that order; an image
-    set is walked as a set of the `_essential_subsets` states that are
-    the cover's vertices, so the named cover is never built.
+    set is walked as a mask over the `_essential_subsets` states that
+    are the cover's vertices, so the named cover is never built.
     """
     require_essential(g)
     order, trans = _essential_subsets(g)
-
-    def step(states, sym):
-        return frozenset(t for s in states if (t := trans.get((s, sym)))) or None
-
-    for word, s in _nonempty_images(Stepper(g.alphabet, frozenset(order) or None, step)):
+    index = {s: i for i, s in enumerate(order)}
+    succ = {
+        sym: [1 << index[t] if (t := trans.get((s, sym))) else 0 for s in order]
+        for sym in g.alphabet.symbols
+    }
+    for word, s in _nonempty_images(mask_stepper(g.alphabet, succ, (1 << len(order)) - 1)):
         if len(word) > max_len:
             return None
-        if len(s) == 1:
+        if s & (s - 1) == 0:
             return word
     return None
 
@@ -301,7 +309,7 @@ def fischer_cover(g: LabeledGraph) -> LabeledGraph:
     if is_right_resolving(g):
         name = {c: _set_name(members[c]) for c in moves}
     else:
-        name = {c: min(map(_set_name, members[c])) for c in moves}
+        name = {c: min(_set_name(mask_vertices(g, s)) for s in members[c]) for c in moves}
     edges = [(name[c], name[t], sym) for c, row in moves.items() for sym, t in row.items()]
     return LabeledGraph(g.alphabet, name.values(), edges)
 
@@ -322,7 +330,8 @@ def canonical_form(g: LabeledGraph) -> LabeledGraph:
         raise ValueError("input is not a minimal cover: not right-resolving or not follower-separated")
     # a right-resolving follower-separated graph has a focusing word
     # (Lind & Marcus 3.3.16), and bfs visits every image set
-    (root,) = next(s for _, s in _nonempty_images(graph_stepper(g)) if len(s) == 1)
+    focused = next(s for _, s in _nonempty_images(graph_stepper(g)) if s & (s - 1) == 0)
+    (root,) = mask_vertices(g, focused)
     width = len(str(max(len(g.vertices) - 1, 1)))
     names = {x: f"{i:0{width}d}" for i, (_, x) in enumerate(bfs(root, g.out_edges))}
     edges = [(names[src], names[dst], lab) for src, dst, lab in g.edges]
@@ -381,12 +390,13 @@ def _half_sync_sofic(g: LabeledGraph, m: Block, horizon: int):
         raise NotIrreducibleError("half-synchronization needs an irreducible presentation")
     p = g if is_right_resolving(g) else fischer_cover(g)
     st = graph_stepper(p)
-    image = walk(st, m)
+    after_m = st.at(walk(st, m))
+    image = mask_vertices(p, after_m.start)
     rel = _follower_inclusion(p)
     ends = {v for v in image if all((u, v) in rel for u in image)}
     if ends:
         return HalfSyncVerdict(HOLDS, m, horizon, exact=True), p, ends
-    sep = {v: first_divergence(st.at(image), st.at(frozenset([v])), horizon) for v in image}
+    sep = {v: first_divergence(after_m, st.at(vertex_mask(p, [v])), horizon) for v in image}
     ends = {v for v, d in sep.items() if d is None}
     if ends:
         return HalfSyncVerdict(HOLDS, m, horizon), p, ends
@@ -411,13 +421,14 @@ def _ray_parts(p: LabeledGraph, m: Block, depth: int, ends):
     returns = (
         next(w for w, z in bfs(y, p.out_edges) if z == x)
         for x in p.vertices
-        for y in walk(st.at(frozenset([x])), c) or ()
+        for y in mask_vertices(p, walk(st.at(vertex_mask(p, [x])), c) or 0)
     )
     unit = c + min(returns, key=p.alphabet.block_key)
     t, reps = st.start, 1
     while (t2 := walk(st.at(t), unit)) != t:
         t, reps = t2, reps + 1
-    f = next(w for w, x in bfs(t, st.moves) if not ends.isdisjoint(walk(st.at(x), m) or ()))
+    end_mask = vertex_mask(p, ends)
+    f = next(w for w, x in bfs(t, st.moves) if (walk(st.at(x), m) or 0) & end_mask)
     return unit, reps, f
 
 

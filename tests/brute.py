@@ -250,3 +250,154 @@ def concatenation_factor(gens, w):
                 return True
         layer = {c + g for c in layer for g in gens if len(c) + len(g) <= limit}
     return False
+
+
+# -- the subset kernel by frozensets of vertex names ---------------------------
+
+
+def image(g, start, w):
+    """The vertices paths from `start` reading w end at, sorted."""
+    ends = set(start)
+    for sym in w:
+        ends = {t for v in ends for lab, t in g.out_edges(v) if lab == sym}
+    return tuple(sorted(ends))
+
+
+def subset_automaton(g):
+    """(order, trans) of the subset construction from the full vertex
+    set, states as frozensets of vertex names: order in breadth-first
+    discovery order, trans mapping (S, symbol) to the non-empty image."""
+    start = frozenset(g.vertices)
+    if not start:
+        return [], {}
+    order, seen, trans = [start], {start}, {}
+    for s in order:
+        for sym in g.alphabet.symbols:
+            t = frozenset(image(g, s, (sym,)))
+            if t:
+                trans[s, sym] = t
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    return order, trans
+
+
+def essential_subsets(g):
+    """(states, trans): the states of `subset_automaton` that words of
+    every length lead to, in discovery order: the states on or after a
+    cycle.  The states k-symbol words lead to shrink as k grows, so the
+    first k where they stop shrinking gives them."""
+    order, trans = subset_automaton(g)
+    layer = set(order)
+    while True:
+        nxt = {trans[s, a] for s in layer for a in g.alphabet.symbols if (s, a) in trans}
+        if nxt == layer:
+            return [s for s in order if s in layer], trans
+        layer = nxt
+
+
+def set_name(vertices):
+    return "{" + ",".join(sorted(vertices)) + "}"
+
+
+def subset_cover_parts(g):
+    """(vertex names, edges) of the subset cover: the essential subsets,
+    each named by its sorted vertex names."""
+    states, trans = essential_subsets(g)
+    edges = [(set_name(s), set_name(trans[s, a]), a)
+             for s in states for a in g.alphabet.symbols if (s, a) in trans]
+    return [set_name(s) for s in states], edges
+
+
+def moore_classes(order, trans, alphabet):
+    """Moore refinement, one signature tuple per state: (own class,
+    classes of the successors in alphabet order), a dead move being the
+    extra index n of class -1; ids in order of first appearance, rounds
+    until nothing splits."""
+    n = len(order)
+    index = {s: i for i, s in enumerate(order)}
+    succ = [tuple(index.get(trans.get((s, sym)), n) for sym in alphabet) for s in order]
+    cls = [0] * n + [-1]
+    while True:
+        sig_ids = {}
+        new = [
+            sig_ids.setdefault((c, tuple(map(cls.__getitem__, row))), len(sig_ids))
+            for c, row in zip(cls, succ)
+        ]
+        new.append(-1)
+        if new == cls:
+            return dict(zip(order, cls))
+        cls = new
+
+
+def fischer_cover_parts(g):
+    """(vertex names, edges) of the Fischer cover of the irreducible g:
+    the language classes of g itself when it is right-resolving, else of
+    `essential_subsets`, cut to the classes every class reaches.  A
+    class is named by its vertex set on right-resolving input, else by
+    the least subset name among its sets."""
+    symbols = g.alphabet.symbols
+    resolving = all(
+        len([lab for lab, _ in g.out_edges(v)]) == len({lab for lab, _ in g.out_edges(v)})
+        for v in g.vertices
+    )
+    if resolving:
+        order = list(g.vertices)
+        trans = {(v, lab): t for v in order for lab, t in g.out_edges(v)}
+    else:
+        order, trans = essential_subsets(g)
+    cls = moore_classes(order, trans, symbols)
+    members, moves = {}, {}
+    for s in order:
+        members.setdefault(cls[s], []).append(s)
+        moves[cls[s]] = {a: cls[trans[s, a]] for a in symbols if (s, a) in trans}
+
+    def reached(c):
+        seen, todo = {c}, [c]
+        while todo:
+            for d in moves[todo.pop()].values():
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return seen
+
+    reach = {c: reached(c) for c in moves}
+    sink = [c for c in moves if all(c in reach[d] for d in moves)]
+    if resolving:
+        name = {c: set_name(members[c]) for c in sink}
+    else:
+        name = {c: min(map(set_name, members[c])) for c in sink}
+    edges = [(name[c], name[d], a) for c in sink for a, d in moves[c].items()]
+    return list(name.values()), edges
+
+
+def synchronizing_word(g, max_len):
+    """The length-lexicographically least non-empty word of at most
+    max_len symbols that leads every state of `essential_subsets` that
+    reads it to one state; None if there is none.  Breadth-first over
+    frozensets of those states, each set stepped once per symbol."""
+    states, trans = essential_subsets(g)
+    layer, seen = [((), frozenset(states))], set()
+    for _ in range(max_len):
+        nxt = []
+        for w, cur in layer:
+            for a in g.alphabet.symbols:
+                t = frozenset(trans[s, a] for s in cur if (s, a) in trans)
+                if len(t) == 1:
+                    return w + (a,)
+                if t and t not in seen:
+                    seen.add(t)
+                    nxt.append((w + (a,), t))
+        layer = nxt
+    return None
+
+
+def least_unreadable(g, h, max_len):
+    """The length-lexicographically least word of at most max_len
+    symbols that some path of g reads and no path of h; None if none."""
+    if not g.vertices:
+        return None
+    if not h.vertices:
+        return ()
+    words = set(readable_from(g, g.vertices, max_len)) - set(readable_from(h, h.vertices, max_len))
+    return min(words, key=g.alphabet.block_key) if words else None

@@ -38,8 +38,10 @@ from shiftlab.core import (
     blocks_of_length,
     format_block,
     graph_stepper,
+    image_set,
     parse_graph,
     reach,
+    reachable,
     walk,
 )
 from shiftlab.errors import (
@@ -258,11 +260,11 @@ def _decoder_by_every_word(f, max_len=8, max_anticipation=4):
     f1 = recode_to_one_block(f)
     pa = PairAutomaton(f1.domain, {w[0]: out for w, out in f1.code.window_map.items()})
     chain = pa.survival_chain()
-    img = graph_stepper(image_presentation(f1))
+    img = image_presentation(f1)
     for length in range(1, max_len + 1):
         for w in blocks_of_length(f.codomain, length):
-            ends = walk(img, w)
-            if ends is None:
+            ends = image_set(img, w)
+            if not ends:
                 continue
             closure = reach(
                 [(p, q) for p in ends for q in ends],
@@ -391,10 +393,38 @@ def test_condition_two_searches_a_finite_state_set(monkeypatch):
         assert 0 <= s <= len(w) and (lag == math.inf or 0 <= lag <= n - k), state
         return state
 
-    monkeypatch.setattr(analysis, "reach", lambda starts, succ: reach(starts, lambda st: map(in_range, succ(st))))
+    def searched(starts, succ):
+        calls.append(starts)
+        return reachable(starts, lambda st: map(in_range, succ(st)))
+
+    calls = []
+    monkeypatch.setattr(analysis, "reachable", searched)
     for f1, pa, w, n, k, m in cases:
         shape.append((w, n, k))
         analysis._condition_two(pa, w, n, k, m)
+    assert len(calls) == len(cases)
+
+
+def test_condition_two_stops_at_the_first_refuting_state(monkeypatch):
+    """A holding block closes its whole reach; a refuted one stops at the
+    first refuting state, most often before the reach is closed."""
+    counts = []
+
+    def searched(starts, succ):
+        starts = list(starts)
+        counts.append([0, len(reach(starts, succ))])
+        for state in reachable(starts, succ):
+            counts[-1][0] += 1
+            yield state
+
+    monkeypatch.setattr(analysis, "reachable", searched)
+    early = 0
+    for f1, pa, w, n, k, m in _condition_two_cases():
+        holds = analysis._condition_two(pa, w, n, k, m)
+        pulled, whole = counts[-1]
+        assert pulled == whole if holds else pulled <= whole
+        early += pulled < whole
+    assert early >= 400
 
 
 def test_condition_two_matches_brute_enumeration():

@@ -11,11 +11,10 @@ from shiftlab.core import (
     Alphabet,
     LabeledGraph,
     blocks_of_length,
-    graph_stepper,
+    image_set,
     is_admissible,
     parse_graph,
     trim_to_essential,
-    walk,
 )
 from shiftlab.covers import (
     HOLDS,
@@ -487,7 +486,7 @@ def test_half_sync_dominance_property(g, data):
     m = data.draw(st.sampled_from(blocks_of_length(g, 1) + blocks_of_length(g, 2)))
     h = data.draw(st.integers(1, 4))
     v, p, ends = covers._half_sync_sofic(g, m, h)
-    image = walk(graph_stepper(p), m)
+    image = image_set(p, m)
 
     def agrees(x, n):
         return all(follower_included(p, u, x, n) for u in image)

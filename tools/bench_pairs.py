@@ -11,7 +11,9 @@ pairs, so a slow drift of the host hits both sides alike.  Then it runs
 one `--trace 1` pass per tree at the first seed for the per-layer
 counters.  The output holds, per workload and end-to-end metric, each
 side's values, median and quartiles, and the number of pairs the change
-won; per layer, the traced metrics of both trees.  Stdlib only.
+won; per layer, the traced metrics of both trees.  For each workload and
+end-to-end metric it also prints one line to stderr: the parent's median,
+the change's median and the pairs the change won.  Stdlib only.
 """
 
 import argparse
@@ -85,6 +87,9 @@ def main(argv=None):
             "per_layer": {side: {k: v["value"] for k, v in r["metrics"].items()} for side, r in traced.items()},
         }
         print(f"{name}: {time.time() - start:.0f} s", file=sys.stderr)
+        for metric, row in report["workloads"][name]["end_to_end"].items():
+            print(f"  {name} {metric}: {row['parent']['median']:.4g} -> {row['change']['median']:.4g}, "
+                  f"change won {row['change_wins']} of {args.pairs} pairs", file=sys.stderr)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
