@@ -48,8 +48,6 @@ from .codes import (
     certify_surjectivity,
     compose,
     higher_block,
-    image_presentation,
-    recode_to_one_block,
 )
 from .errors import (
     CodomainMismatchError,
@@ -198,14 +196,6 @@ class TheoremReport:
         return f"TheoremReport({self.name}, {self.status})"
 
 
-def _one_block(f: FactorMap) -> FactorMap:
-    got = f._cache.get("one_block")
-    if got is None:
-        got = recode_to_one_block(f)
-        f._cache["one_block"] = got
-    return got
-
-
 def _phi(f1: FactorMap) -> dict:
     return {w[0]: out for w, out in f1.code.window_map.items()}
 
@@ -237,9 +227,6 @@ def is_finite_to_one(f: FactorMap) -> bool:
     parallel equal-image edges between the same two vertices are
     caught as well as genuinely diverging path pairs.
     """
-    got = f._cache.get("finite_to_one")
-    if got is not None:
-        return got
     pa = _fischer_pairs(f)
 
     def succ(state):
@@ -249,9 +236,7 @@ def is_finite_to_one(f: FactorMap) -> bool:
             for _, a1, a2, (r, s) in pa.transitions[(p, q)]
         ]
 
-    ok = not any(flag and r == s for r, s, flag in reach(pa.diagonal_flags(), succ))
-    f._cache["finite_to_one"] = ok
-    return ok
+    return not any(flag and r == s for r, s, flag in reach(pa.diagonal_flags(), succ))
 
 
 def degree(f: FactorMap) -> DegreeReport:
@@ -273,11 +258,11 @@ def degree(f: FactorMap) -> DegreeReport:
     """
     if not is_finite_to_one(f):
         raise NotFiniteToOneError("degree is defined for finite-to-one maps")
-    f1 = _one_block(f)
+    f1 = f.one_block
     _require_irreducible(f.codomain, "the codomain")
     g = f1.domain
     phi = _phi(f1)
-    img = image_presentation(f1)
+    img = f1.image
     fwd = graph_stepper(img)
     back = graph_stepper(LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges]))
     # the domain's edges by image symbol, with image-stepper masks of their ends
@@ -327,13 +312,9 @@ def is_one_to_one_ae(f: FactorMap) -> bool:
 
 
 def _fischer_pairs(f: FactorMap) -> PairAutomaton:
-    pa = f._cache.get("fischer_pairs")
-    if pa is None:
-        f1 = _one_block(f)
-        _require_irreducible(f1.domain, "the domain")
-        pa = PairAutomaton(fischer_cover(f1.domain), _phi(f1))
-        f._cache["fischer_pairs"] = pa
-    return pa
+    f1 = f.one_block
+    _require_irreducible(f1.domain, "the domain")
+    return PairAutomaton(fischer_cover(f1.domain), _phi(f1))
 
 
 def right_closing_ae(f: FactorMap, delay_bound: int = 6) -> ClosingReport:
@@ -399,12 +380,12 @@ def find_decoder_block(
     is certified onto; `bfs` yields each end set once, with its least
     word, in length-lex order.
     """
-    f1 = _one_block(f)
+    f1 = f.one_block
     _require_irreducible(f1.domain, "the domain")
     _certified_surjective(f)
     pa = PairAutomaton(f1.domain, _phi(f1))
     chain = pa.survival_chain()
-    img = image_presentation(f1)
+    img = f1.image
     for w, mask in _nonempty_images(graph_stepper(img)):
         if len(w) > max_len:
             return None
@@ -428,14 +409,14 @@ def verify_decoder_block(f: FactorMap, w: Block, k: int, horizon: int = 10) -> b
     horizon, walk all pairs of domain paths whose images continue
     equally for n+k steps after showing w, and reject if any pair can
     disagree within the first n symbols."""
-    f1 = _one_block(f)
+    f1 = f.one_block
     if not is_admissible(f.codomain, w):
         raise InadmissibleBlockError(
             f"{format_block(w)} is not admissible in the codomain"
         )
     g = f1.domain
     phi = _phi(f1)
-    img = image_presentation(f1)
+    img = f1.image
     ends = mask_vertices(img, walk(graph_stepper(img), w) or 0)
     for n in range(1, horizon + 1):
         layer = {(p, q, False) for p in ends for q in ends}
@@ -551,12 +532,12 @@ def find_hyperbolic_certificate(
     if not is_finite_to_one(f):
         raise NotFiniteToOneError("hyperbolicity needs a finite-to-one map")
     _certified_surjective(f)
-    f1 = _one_block(f)
+    f1 = f.one_block
     g = f1.domain
     phi = _phi(f1)
     image_out = _image_out(g, phi)
     pa = PairAutomaton(g, phi)
-    img = image_presentation(f1)
+    img = f1.image
     rev = LabeledGraph(img.alphabet, img.vertices, [(d, s, b) for s, d, b in img.edges])
     # the constraint sets an infinite image past (future) leaves behind
     fset = [frozenset(t) for t in sorted(mask_vertices(img, s) for s in _essential_subsets(img)[0])]
@@ -593,18 +574,15 @@ def _strong_components(g: LabeledGraph):
     return comps
 
 
+def _projection_code(sigma, pair_of, side, alphabet) -> BlockCode:
+    """The 1-block code sending each symbol sigma's edges use to its
+    side of the symbol pair it names, into `alphabet`."""
+    wm = {(lab,): pair_of[lab][side] for _, _, lab in sigma.edges}
+    return BlockCode(0, 0, wm, sigma.alphabet, alphabet)
+
+
 def _projection_map(sigma, pair_of, side, target):
-    used = sorted(
-        {lab for _, _, lab in sigma.edges}, key=sigma.alphabet.index
-    )
-    code = BlockCode(
-        0,
-        0,
-        {(s,): pair_of[s][side] for s in used},
-        sigma.alphabet,
-        target.alphabet,
-    )
-    return FactorMap(code, sigma, target)
+    return FactorMap(_projection_code(sigma, pair_of, side, target.alphabet), sigma, target)
 
 
 def fiber_product(f1: FactorMap, f2: FactorMap) -> FiberProduct:
@@ -613,8 +591,8 @@ def fiber_product(f1: FactorMap, f2: FactorMap) -> FiberProduct:
     flagged by whether both projection restrictions stay onto."""
     if f1.codomain != f2.codomain:
         raise CodomainMismatchError("the maps must share a codomain presentation")
-    a = _one_block(f1)
-    b = _one_block(f2)
+    a = f1.one_block
+    b = f2.one_block
     _require_irreducible(a.domain, "the first domain")
     _require_irreducible(b.domain, "the second domain")
     g1, g2 = a.domain, b.domain
@@ -726,7 +704,7 @@ def check_theorem_3_3(
             INCONCLUSIVE,
             (("reason", "no hyperbolic certificate within bounds"),),
         )
-    dom = _one_block(f).domain
+    dom = f.one_block.domain
     facts = []
     disagreed = False
     dom_hs = cod_hs = False
@@ -753,18 +731,7 @@ def check_theorem_3_3(
 def _compose_through_component(f_out, f_in, component, pair_of, side):
     """Restrict a fiber projection to one component, step down from
     the recoded presentation, and compose with the outer map."""
-    used = sorted(
-        {lab for _, _, lab in component.edges}, key=component.alphabet.index
-    )
-    f_in1 = _one_block(f_in)
-    psi = BlockCode(
-        0,
-        0,
-        {(s,): pair_of[s][side] for s in used},
-        component.alphabet,
-        f_in1.domain.alphabet,
-    )
-    chain = psi
+    chain = _projection_code(component, pair_of, side, f_in.one_block.domain.alphabet)
     if f_in.code.width > 1:
         _, proj = higher_block(f_in.domain, f_in.code.width)
         chain = compose(proj, chain)

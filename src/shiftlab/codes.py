@@ -5,6 +5,11 @@ A block code with memory m and anticipation n maps a point x to the
 point y with y_i determined by the window x_{i-m} ... x_{i+n}.  The
 window map is stored extensionally (domains are finite at desk scale),
 which makes composition and recoding mechanical.
+
+A FactorMap is built once: its constructor walks one higher-block graph
+of the domain at the code's width, and from it checks the windows and
+keeps two fields, `image` (the image presentation) and `one_block`
+(the equivalent 1-block map the analysis verbs run on).
 """
 
 from .core import (
@@ -123,13 +128,43 @@ def apply_code(c: BlockCode, p: Point) -> Point:
     return Point(left, center, right, p.offset + n)
 
 
+def _block_paths(g: LabeledGraph, n: int):
+    """The higher-block graph of an essential g at block length n, with
+    blocks for labels: (vertices, edges, blocks).
+
+    Vertices name the paths of n - 1 edges, "v0-a1-v1-...-v(n-1)" (at
+    n = 1 the vertices of g); an edge joins a path to its one-step
+    successor and is labeled by the length-n block read along the union
+    path, so the labels are exactly the admissible length-n blocks,
+    returned length-lex sorted.  Distinct edges never share source,
+    target, and label, so the construction cannot create duplicates.
+    """
+    paths = [(v,) for v in g.vertices]
+    for _ in range(n - 1):
+        paths = [p + (lab, dst) for p in paths for lab, dst in g.out_edges(p[-1])]
+    edges = []
+    for p in paths:
+        for lab, dst in g.out_edges(p[-1]):
+            full = p + (lab, dst)
+            edges.append(("-".join(p), "-".join(full[2:]), full[1::2]))
+    blocks = sorted({w for _, _, w in edges}, key=g.alphabet.block_key)
+    return ["-".join(p) for p in paths], edges, blocks
+
+
+def _named_blocks(vertices, edges, blocks) -> LabeledGraph:
+    """The graph of _block_paths with each block named by format_block."""
+    return LabeledGraph(
+        Alphabet(map(format_block, blocks)),
+        vertices,
+        [(src, dst, format_block(w)) for src, dst, w in edges],
+    )
+
+
 def higher_block(g: LabeledGraph, n_blocks: int):
     """The higher-block presentation and its first-symbol projection.
 
-    Vertices are paths of n_blocks - 1 edges; an edge joins a path to
-    its one-step successor and is labeled by the length-n_blocks block
-    read along the union path.  Distinct edges never share source,
-    target, and label, so the construction cannot create duplicates.
+    Its symbols are the admissible length-n_blocks blocks, formatted,
+    and its vertices the paths of n_blocks - 1 edges (see _block_paths).
     Returns (graph, code) where code is the 1-block projection onto
     the first symbol of each higher symbol.
     """
@@ -140,85 +175,49 @@ def higher_block(g: LabeledGraph, n_blocks: int):
         used = sorted({lab for _, _, lab in g.edges}, key=g.alphabet.index)
         code = BlockCode(0, 0, {(s,): s for s in used}, g.alphabet, g.alphabet)
         return g, code
-
-    paths = [(e,) for e in g.edges]
-    for _ in range(n_blocks - 2):
-        paths = [p + (e,) for p in paths for e in g.edges if e[0] == p[-1][1]]
-
-    def path_name(p):
-        bits = [p[0][0]]
-        for src, dst, lab in p:
-            bits += [lab, dst]
-        return "-".join(bits)
-
-    def path_block(p):
-        return tuple(lab for _, _, lab in p)
-
-    vertices = [path_name(p) for p in paths]
-    sym_blocks = set()
-    new_edges = []
-    for p in paths:
-        for e in g.edges:
-            if e[0] != p[-1][1]:
-                continue
-            full = p + (e,)
-            blk = path_block(full)
-            sym_blocks.add(blk)
-            new_edges.append((path_name(p), path_name(full[1:]), format_block(blk)))
-    ordered = sorted(sym_blocks, key=g.alphabet.block_key)
-    alphabet = Alphabet(format_block(b) for b in ordered)
-    graph = LabeledGraph(alphabet, vertices, new_edges)
-    code = BlockCode(
-        0,
-        0,
-        {(format_block(b),): b[0] for b in ordered},
-        alphabet,
-        g.alphabet,
-    )
+    vertices, edges, blocks = _block_paths(g, n_blocks)
+    graph = _named_blocks(vertices, edges, blocks)
+    code = BlockCode(0, 0, {(format_block(b),): b[0] for b in blocks}, graph.alphabet, g.alphabet)
     return graph, code
-
-
-def _image_graph(code: BlockCode, domain: LabeledGraph, alphabet: Alphabet) -> LabeledGraph:
-    """The higher-block presentation of an essential domain at the
-    code's width, relabeled by the window map into `alphabet`: it
-    presents exactly the image shift, and edges that become identical
-    collapse into one.  Higher-block symbols are the formatted windows."""
-    hg, _ = higher_block(domain, code.width)
-    image = {format_block(w): out for w, out in code.window_map.items()}
-    edges = {(src, dst, image[lab]) for src, dst, lab in hg.edges}
-    return LabeledGraph(alphabet, hg.vertices, edges)
 
 
 class FactorMap:
     """A block code bundled with domain and codomain presentations.
 
-    The window map is pruned to exactly the admissible windows of the
-    domain; a missing admissible window is an error.  The image shift
-    must lie in the codomain; this is checked exactly, for every
-    presentation, by a first_divergence search from the image
-    presentation to the codomain, and the least image block outside
-    the codomain is named in the error.
+    Everything is built once, in the constructor, from one higher-block
+    graph of the trimmed domain at the code's width (_block_paths):
+      * its labels are the domain's admissible windows.  The window map
+        is pruned to exactly these; a missing one is an error naming
+        the least;
+      * relabeled by the window map it is `image`, a presentation of
+        exactly the image shift (edges that become identical collapse
+        into one).  The image must lie in the codomain; this is checked
+        exactly, for every presentation, by a first_divergence search
+        from `image` to the codomain, and the least image block outside
+        the codomain is named in the error;
+      * with its windows as symbols it is the domain of `one_block`, the
+        equivalent 1-block map (see recode_to_one_block), built by this
+        same constructor; at width 1 `one_block` is the map itself.
+    Nothing is written after the constructor returns.
     """
 
-    __slots__ = ("code", "domain", "codomain", "_cache")
+    __slots__ = ("code", "domain", "codomain", "image", "one_block")
 
     def __init__(self, code: BlockCode, domain: LabeledGraph, codomain: LabeledGraph):
         domain = trim_to_essential(domain)
         codomain = trim_to_essential(codomain)
         if not domain.vertices:
             raise ValueError("domain presents the empty shift")
-        width = code.width
-        admissible = blocks_of_length(domain, width)
-        pruned = {}
-        for w in admissible:
+        vertices, edges, windows = _block_paths(domain, code.width)
+        for w in windows:
             if w not in code.window_map:
                 raise ValueError(f"window map misses admissible window {format_block(w)}")
-            pruned[w] = code.window_map[w]
         self.code = BlockCode(
-            code.memory, code.anticipation, pruned,
+            code.memory, code.anticipation, {w: code.window_map[w] for w in windows},
             code.domain_alphabet, code.codomain_alphabet,
         )
-        image = _image_graph(self.code, domain, code.codomain_alphabet)
+        wm = self.code.window_map
+        image = LabeledGraph(code.codomain_alphabet, vertices, {(s, d, wm[w]) for s, d, w in edges})
         outside = first_divergence(graph_stepper(image), graph_stepper(codomain))
         if outside is not None:
             raise CodomainMismatchError(
@@ -226,7 +225,13 @@ class FactorMap:
             )
         self.domain = domain
         self.codomain = codomain
-        self._cache = {}
+        self.image = image
+        if code.width == 1:
+            self.one_block = self
+        else:
+            hg = _named_blocks(vertices, edges, windows)
+            one = {(format_block(w),): out for w, out in wm.items()}
+            self.one_block = FactorMap(BlockCode(0, 0, one, hg.alphabet, code.codomain_alphabet), hg, codomain)
 
     def __repr__(self):
         return f"FactorMap(m={self.code.memory}, n={self.code.anticipation})"
@@ -240,31 +245,22 @@ def identity_factor_map(g: LabeledGraph) -> FactorMap:
 
 
 def recode_to_one_block(f: FactorMap) -> FactorMap:
-    """An equivalent 1-block map on the higher-block presentation.
+    """An equivalent 1-block map on the higher-block presentation:
+    f.one_block, built with f.
 
     The recoding conjugacy (see recoding_code) sends x to the sequence
     of its aligned windows x_{[i-m, i+n]}; composing the returned map
     with it reproduces f pointwise, with no shift correction.
     """
-    c = f.code
-    if c.memory == 0 and c.anticipation == 0:
-        return f
-    hg, _ = higher_block(f.domain, c.width)
-    wm = {}
-    for sym in hg.alphabet:
-        blk = parse_block(sym, f.domain.alphabet)
-        wm[(sym,)] = c.window_map[blk]
-    code = BlockCode(0, 0, wm, hg.alphabet, c.codomain_alphabet)
-    return FactorMap(code, hg, f.codomain)
+    return f.one_block
 
 
 def recoding_code(f: FactorMap) -> BlockCode:
     """The conjugacy onto the higher-block presentation used by
     recode_to_one_block: x maps to the sequence of aligned windows."""
     c = f.code
-    hg, _ = higher_block(f.domain, c.width)
-    wm = {w: format_block(w) for w in blocks_of_length(f.domain, c.width)}
-    return BlockCode(c.memory, c.anticipation, wm, f.domain.alphabet, hg.alphabet)
+    wm = {w: format_block(w) for w in c.window_map}
+    return BlockCode(c.memory, c.anticipation, wm, f.domain.alphabet, f.one_block.domain.alphabet)
 
 
 def compose(c2: BlockCode, c1: BlockCode) -> BlockCode:
@@ -297,12 +293,13 @@ def compose(c2: BlockCode, c1: BlockCode) -> BlockCode:
 
 
 def image_presentation(f: FactorMap) -> LabeledGraph:
-    """The domain graph relabeled through the (recoded) 1-block map.
+    """The domain's higher-block graph relabeled through the window
+    map: f.image, built with f.
 
     Presents exactly the image shift; edges that become identical
     after relabeling collapse into one.
     """
-    return _image_graph(f.code, f.domain, f.codomain.alphabet)
+    return f.image
 
 
 def certify_surjectivity(f: FactorMap) -> bool:

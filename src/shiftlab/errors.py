@@ -58,10 +58,6 @@ class InadmissibleWindowError(ShiftlabError):
         super().__init__(message)
 
 
-class AlphabetMismatchError(ShiftlabError):
-    """Two objects that must share an alphabet do not."""
-
-
 class CodomainMismatchError(ShiftlabError):
     """Composition was attempted between codes whose alphabets do not chain."""
 
@@ -72,10 +68,6 @@ class NotFiniteToOneError(ShiftlabError):
 
 class NotSurjectiveError(ShiftlabError):
     """The factor map does not cover its declared codomain."""
-
-
-class SynchronizingWordNotFoundError(ShiftlabError):
-    """No synchronizing word exists within the searched length bound."""
 
 
 class BudgetExceededError(ShiftlabError):

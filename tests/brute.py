@@ -1,10 +1,15 @@
 """Reference implementations by plain enumeration, for cross-checking.
 
 Everything here walks paths or strings directly and ignores the
-library's automata constructions on purpose.
+library's automata constructions on purpose.  The factor-map references
+at the end build the library's graph and map types, as the library
+built them before a FactorMap kept its higher-block graph.
 """
 
 import itertools
+
+from shiftlab.codes import BlockCode, FactorMap
+from shiftlab.core import Alphabet, LabeledGraph, format_block, parse_block
 
 
 def path_words(g, n):
@@ -401,3 +406,49 @@ def least_unreadable(g, h, max_len):
         return ()
     words = set(readable_from(g, g.vertices, max_len)) - set(readable_from(h, h.vertices, max_len))
     return min(words, key=g.alphabet.block_key) if words else None
+
+
+def higher_block_graph(g, n):
+    """The length-n higher-block graph of an essential g, n >= 2, by
+    listing its paths: vertices are the paths of n - 1 edges, named
+    "v0-a1-v1-...", and each n-edge path is an edge labeled by its
+    formatted block."""
+    paths = [(e,) for e in g.edges]
+    for _ in range(n - 2):
+        paths = [p + (e,) for p in paths for e in g.edges if e[0] == p[-1][1]]
+
+    def name(p):
+        return "-".join([p[0][0]] + [x for _, dst, lab in p for x in (lab, dst)])
+
+    blocks, edges = set(), []
+    for p in paths:
+        for e in g.edges:
+            if e[0] == p[-1][1]:
+                blk = tuple(lab for _, _, lab in p + (e,))
+                blocks.add(blk)
+                edges.append((name(p), name(p[1:] + (e,)), format_block(blk)))
+    alphabet = Alphabet(format_block(b) for b in sorted(blocks, key=g.alphabet.block_key))
+    return LabeledGraph(alphabet, [name(p) for p in paths], edges)
+
+
+def image_by_relabeling(f):
+    """The image presentation of a factor map, built as two steps: the
+    domain's higher-block graph at the code's width, relabeled through
+    the window map into the codomain alphabet."""
+    c = f.code
+    hg = f.domain if c.width == 1 else higher_block_graph(f.domain, c.width)
+    image = {format_block(w): out for w, out in c.window_map.items()}
+    edges = {(src, dst, image[lab]) for src, dst, lab in hg.edges}
+    return LabeledGraph(f.codomain.alphabet, hg.vertices, edges)
+
+
+def recode_by_parsing(f):
+    """The 1-block form of a factor map, built as a second map: each
+    higher-block symbol is parsed back into its window and sent where
+    the window map sends it."""
+    c = f.code
+    if c.width == 1:
+        return f
+    hg = higher_block_graph(f.domain, c.width)
+    wm = {(sym,): c.window_map[parse_block(sym, f.domain.alphabet)] for sym in hg.alphabet}
+    return FactorMap(BlockCode(0, 0, wm, hg.alphabet, c.codomain_alphabet), hg, f.codomain)

@@ -1,6 +1,16 @@
 import pytest
 
-from brute import path_words
+from brute import higher_block_graph, image_by_relabeling, path_words, recode_by_parsing
+from shiftlab import codes
+from shiftlab.analysis import (
+    check_theorem_3_3,
+    check_theorem_4_2,
+    degree,
+    fiber_product,
+    find_decoder_block,
+    find_hyperbolic_certificate,
+    right_closing_ae,
+)
 from shiftlab.codes import (
     BlockCode,
     FactorMap,
@@ -32,6 +42,7 @@ from shiftlab.errors import (
     InadmissibleWindowError,
     ParseError,
 )
+from test_analysis import _collapse_maps, _higher_block_maps, _xor_of
 
 FULL2 = "alphabet 0 1\nvertex A\nedge A A 0\nedge A A 1\n"
 
@@ -216,6 +227,10 @@ def test_factor_map_validates_window_coverage(graphs):
     g = graphs["full2"]
     with pytest.raises(ValueError):
         FactorMap(BlockCode(0, 0, {("0",): "0"}, g.alphabet, g.alphabet), g, g)
+    # 01 and 10 are missing; the error names the least
+    partial = BlockCode(0, 1, {("0", "0"): "0", ("1", "1"): "0"}, g.alphabet, g.alphabet)
+    with pytest.raises(ValueError, match=r"^window map misses admissible window 01$"):
+        FactorMap(partial, g, g)
 
 
 def test_factor_map_checks_image_admissibility(graphs):
@@ -280,3 +295,74 @@ def test_load_factor_map_requires_presentations(tmp_path):
 def test_brute_paths_agree_with_domain(maps):
     f = maps["evenmap"]
     assert sorted(path_words(f.domain, 3)) == blocks_of_length(f.domain, 3)
+
+
+def _shift_maps(graphs):
+    """Codes with memory > 0 on corpus graphs, onto the same graph:
+    the identity and the shift, read through wider windows."""
+    for name in ("golden", "even", "evenedge"):
+        g = graphs[name]
+        for m, n in ((1, 0), (1, 1), (2, 0)):
+            windows = blocks_of_length(g, m + n + 1)
+            for at in (0, m):
+                yield FactorMap(BlockCode(m, n, {w: w[at] for w in windows}, g.alphabet, g.alphabet), g, g)
+
+
+def _all_maps(maps, graphs):
+    yield from maps.values()
+    yield from (_xor_of(k, graphs["full2"]) for k in range(2, 6))
+    yield from _shift_maps(graphs)
+    yield from _collapse_maps(range(24))
+    yield from _higher_block_maps(range(6))
+
+
+def test_higher_block_matches_path_listing(graphs):
+    for g in graphs.values():
+        for n in (2, 3):
+            assert higher_block(trim_to_essential(g), n)[0] == higher_block_graph(trim_to_essential(g), n)
+
+
+def test_factor_map_fields_match_the_two_step_constructions(maps, graphs):
+    for f in _all_maps(maps, graphs):
+        assert image_presentation(f) == image_by_relabeling(f)
+        f1, ref = recode_to_one_block(f), recode_by_parsing(f)
+        assert f1.code == ref.code
+        assert (f1.domain, f1.codomain) == (ref.domain, ref.codomain)
+        assert f1.one_block is f1
+
+
+VERBS = (
+    degree,
+    right_closing_ae,
+    find_decoder_block,
+    find_hyperbolic_certificate,
+    check_theorem_4_2,
+    check_theorem_3_3,
+    lambda f: fiber_product(f, f),
+)
+
+
+def _slots(f):
+    return [getattr(x, name) for x in (f, f.one_block) for name in FactorMap.__slots__]
+
+
+def test_factor_map_is_not_written_by_the_verbs(maps, graphs):
+    for f in [*maps.values(), *(_xor_of(k, graphs["full2"]) for k in range(2, 6))]:
+        assert not hasattr(f, "_cache")
+        before = _slots(f)
+        for verb in VERBS:
+            verb(f)
+            assert all(a is b for a, b in zip(before, _slots(f))), verb
+
+
+def test_factor_map_builds_its_higher_block_graph_once(graphs, monkeypatch):
+    # a width-1 build reads its graph's own edges (n = 1) and builds nothing
+    calls = []
+    build = codes._block_paths
+    monkeypatch.setattr(codes, "_block_paths", lambda g, n: calls.append((g, n)) or build(g, n))
+    f = _xor_of(5, graphs["full2"])
+    assert [(g, n) for g, n in calls if n > 1] == [(f.domain, 5)]
+    for verb in VERBS:
+        calls.clear()
+        verb(f)
+        assert all(n == 1 and g is not f.domain and g is not f.one_block.domain for g, n in calls), verb
