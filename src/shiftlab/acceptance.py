@@ -23,7 +23,14 @@ from .analysis import (
     verify_decoder_block,
 )
 from .codes import apply_block, load_factor_map, recode_to_one_block
-from .core import blocks_of_length, count_blocks, format_block, is_admissible, load_graph
+from .core import (
+    blocks_of_length,
+    count_blocks,
+    format_block,
+    is_admissible,
+    iter_blocks,
+    load_graph,
+)
 from .covers import (
     HOLDS,
     NOT_SYNCHRONIZING,
@@ -33,12 +40,7 @@ from .covers import (
     is_synchronizing,
     isomorphic_minimal,
 )
-from .oracle import (
-    dyck_follower_signature,
-    load_oracle,
-    oracle_admissible,
-    oracle_follower_equal,
-)
+from .oracle import load_oracle, oracle_admissible
 
 GRAPHS = ("golden", "even", "even4", "full2", "goldennd", "evenedge")
 MAPS = ("evenmap", "xor", "identity")
@@ -223,7 +225,12 @@ def criterion_7():
 
 def criterion_8():
     """Common-extension instance through the xor fiber product, with
-    commuting projections on all short blocks."""
+    projections that commute on every fiber symbol.
+
+    The projections and the recoded xor map are 1-block codes, which
+    act symbol by symbol, so one check per fiber symbol covers every
+    block of the fiber product.
+    """
     fx = _map("xor")
     ident = _map("identity")
     rep = check_theorem_3_4(ident, fx, fx, ident)
@@ -232,34 +239,64 @@ def criterion_8():
     fp = fiber_product(fx, fx)
     f1 = recode_to_one_block(fx)
     p1, p2 = fp.projections
-    for n in range(1, 9):
-        for w in blocks_of_length(fp.presentation, n):
-            left = apply_block(f1.code, apply_block(p1.code, w))
-            right = apply_block(f1.code, apply_block(p2.code, w))
-            if left != right:
-                return False
+    if {p1.code.width, p2.code.width, f1.code.width} != {1}:
+        return False
+    for s in {lab for _, _, lab in fp.presentation.edges}:
+        left = apply_block(f1.code, apply_block(p1.code, (s,)))
+        right = apply_block(f1.code, apply_block(p2.code, (s,)))
+        if left != right:
+            return False
     return True
 
 
+# each Dyck-2 closer and the opener it cancels
+_CLOSES = {")": "(", "]": "["}
+
+
+def _bracket_reductions(symbols, n):
+    """Each admissible Dyck-2 word of length 1..n with its unmatched
+    openers, by free bracket reduction.
+
+    A word is reduced one symbol at a time: a closer cancels an opener
+    of its own kind just before it, and anything else is appended.  The
+    word is admissible while no opener in its reduction is directly
+    followed by a closer, that is, while the reduction is unmatched
+    closers followed by unmatched openers; the openers are the stack.
+    An admissible prefix already has that form, so only the appended
+    symbol can break it.  Returns one dict {word: openers} per length.
+    """
+    levels = []
+    words = {(): ()}
+    for _ in range(n):
+        grown = {}
+        for w, reduced in words.items():
+            for s in symbols:
+                if s in _CLOSES and reduced and reduced[-1] == _CLOSES[s]:
+                    r = reduced[:-1]
+                else:
+                    r = reduced + (s,)
+                if len(r) > 1 and r[-2] not in _CLOSES and r[-1] in _CLOSES:
+                    continue
+                grown[w + (s,)] = r
+        words = grown
+        levels.append(
+            {w: tuple(t for t in r if t not in _CLOSES) for w, r in words.items()}
+        )
+    return levels
+
+
 def criterion_9():
-    """Dyck oracle: bracket discipline, follower equality from equal
-    signatures, and a half-synchronizing candidate block."""
+    """Dyck oracle: bracket discipline, stepper states equal to an
+    independent bracket reduction, and a half-synchronizing candidate
+    block."""
     o = load_oracle(corpus_path("dyck2.oracle"))
     if oracle_admissible(o, ("(", "]")):
         return False
     if not oracle_admissible(o, (")", "(")):
         return False
-    groups = {}
-    words = [()]
-    for _ in range(6):
-        words = [w + (s,) for w in words for s in o.alphabet.symbols if oracle_admissible(o, w + (s,))]
-        for w in words:
-            groups.setdefault(dyck_follower_signature(o, w), []).append(w)
-    for sig, members in sorted(groups.items()):
-        rep = members[0]
-        for other in members[1:]:
-            if not oracle_follower_equal(o, rep, other, horizon=4):
-                return False
+    for n, reduced in enumerate(_bracket_reductions(o.alphabet.symbols, 6), start=1):
+        if dict(iter_blocks(o.stepper, n)) != reduced:
+            return False
     return is_half_synchronizing(o, ("(", ")"), 6).status == HOLDS
 
 

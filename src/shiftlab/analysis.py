@@ -47,7 +47,6 @@ from .codes import (
     FactorMap,
     certify_surjectivity,
     compose,
-    higher_block,
 )
 from .errors import (
     CodomainMismatchError,
@@ -731,10 +730,11 @@ def check_theorem_3_3(
 def _compose_through_component(f_out, f_in, component, pair_of, side):
     """Restrict a fiber projection to one component, step down from
     the recoded presentation, and compose with the outer map."""
-    chain = _projection_code(component, pair_of, side, f_in.one_block.domain.alphabet)
+    hb_alphabet = f_in.one_block.domain.alphabet
+    chain = _projection_code(component, pair_of, side, hb_alphabet)
     if f_in.code.width > 1:
-        _, proj = higher_block(f_in.domain, f_in.code.width)
-        chain = compose(proj, chain)
+        first = {(format_block(w),): w[0] for w in f_in.code.window_map}
+        chain = compose(BlockCode(0, 0, first, hb_alphabet, f_in.domain.alphabet), chain)
     chain = compose(f_out.code, chain)
     return FactorMap(chain, component, f_out.codomain)
 

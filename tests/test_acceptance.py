@@ -1,6 +1,12 @@
 """One test per acceptance criterion; each prints its pass/fail row."""
 
+import dataclasses
+from collections import Counter
+from types import SimpleNamespace
+
 from shiftlab import acceptance
+from shiftlab.codes import BlockCode
+from shiftlab.oracle import ShiftOracle
 
 
 def _check(n, fn):
@@ -47,3 +53,67 @@ def test_criterion_9_dyck_oracle():
 
 def test_criterion_10_determinism():
     _check(10, acceptance.criterion_10)
+
+
+def _xor_fiber_product():
+    fx = acceptance._map("xor")
+    return acceptance.fiber_product(fx, fx)
+
+
+def _with_second_projection(monkeypatch, code):
+    fp = _xor_fiber_product()
+    p1, _ = fp.projections
+    mutant = dataclasses.replace(fp, projections=(p1, SimpleNamespace(code=code)))
+    monkeypatch.setattr(acceptance, "fiber_product", lambda f1, f2: mutant)
+
+
+def test_criterion_8_fails_when_one_fiber_symbol_maps_off_its_fiber(monkeypatch):
+    p2 = _xor_fiber_product().projections[1].code
+    wm = dict(p2.window_map)
+    assert wm[("(00,11)",)] == "11"
+    wm[("(00,11)",)] = "01"  # xor image 1, where the first projection's "00" gives 0
+    bad = BlockCode(0, 0, wm, p2.domain_alphabet, p2.codomain_alphabet)
+    _with_second_projection(monkeypatch, bad)
+    assert not acceptance.criterion_8()
+
+
+def test_criterion_8_fails_on_a_projection_of_width_two(monkeypatch):
+    p2 = _xor_fiber_product().projections[1].code
+    symbols = p2.domain_alphabet.symbols
+    wide = {(s, t): p2.window_map[(s,)] for s in symbols for t in symbols}
+    _with_second_projection(monkeypatch, BlockCode(0, 1, wide, p2.domain_alphabet, p2.codomain_alphabet))
+    assert not acceptance.criterion_8()
+
+
+def test_criterion_8_checks_each_fiber_symbol_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(acceptance, "blocks_of_length", counted("blocks", acceptance.blocks_of_length))
+    monkeypatch.setattr(acceptance, "apply_block", counted("apply", acceptance.apply_block))
+    assert acceptance.criterion_8()
+    # two projections and the xor map on each of the 8 fiber symbols
+    assert calls == {"apply": 4 * 8}
+
+
+def test_criterion_9_fails_when_a_matching_closer_does_not_pop(monkeypatch):
+    real = acceptance.load_oracle(acceptance.corpus_path("dyck2.oracle"))
+    opener_of = {c: o for o, c in real.pairs}
+
+    def step(stack, sym):
+        if stack and opener_of.get(sym) == stack[-1]:
+            return stack
+        return real.stepper.step(stack, sym)
+
+    mutant = ShiftOracle(real.kind, real.horizon_budget, real.stepper._replace(step=step), pairs=real.pairs)
+    monkeypatch.setattr(acceptance, "load_oracle", lambda path: mutant)
+    assert not acceptance.criterion_9()
+
+
+def test_bracket_reduction_matches_the_dyck_counts():
+    levels = acceptance._bracket_reductions(("(", ")", "[", "]"), 4)
+    assert [len(words) for words in levels] == [4, 14, 48, 160]
+    assert levels[3][(")", "(", "[", "]")] == ("(",)
+    assert ("(", "]") not in levels[1]

@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from brute import degree_by_words, forward_extension_witness, preimage_blocks
-from shiftlab import analysis, covers
+from shiftlab import analysis, codes, covers
 from shiftlab.analysis import (
     AGREE_NEGATIVE,
     AGREE_POSITIVE,
@@ -580,6 +581,25 @@ def test_theorem_3_4(maps):
     assert facts["left-certificate"] == "yes"
     assert facts["right-certificate"] == "yes"
     assert any(line.startswith("left hyperbolic word") for line in rep.certificates)
+
+
+def test_theorem_3_4_reads_the_recoded_domain_it_already_has(maps, monkeypatch):
+    """The first-symbol projection comes from the width-2 xor window map,
+    so the harness builds no higher-block graph of its own and its
+    report stays the golden one."""
+
+    def refuse(*args):
+        raise AssertionError("higher_block called")
+
+    built = []
+    block_paths = codes._block_paths
+    monkeypatch.setattr(codes, "higher_block", refuse)
+    monkeypatch.setattr(analysis, "higher_block", refuse, raising=False)
+    monkeypatch.setattr(codes, "_block_paths", lambda g, n: built.append(n) or block_paths(g, n))
+    rep = check_theorem_3_4(maps["identity"], maps["xor"], maps["xor"], maps["identity"])
+    golden = Path(__file__).parent / "golden" / "check_t34_identity-code_xor-code_xor-code_identity-code.out"
+    assert "\n".join(rep.lines()) + "\n" == golden.read_text(encoding="utf-8").split("\n", 1)[1]
+    assert built and set(built) == {1}
 
 
 def test_theorem_3_4_all_identity(maps):

@@ -11,12 +11,16 @@ pairs, so a slow drift of the host hits both sides alike.  Then it runs
 one `--trace 1` pass per tree at the first seed for the per-layer
 counters.  The output holds, per workload and end-to-end metric, each
 side's values, median and quartiles, and the number of pairs the change
-won; per layer, the traced metrics of both trees.  For each workload and
-end-to-end metric it also prints one line to stderr: the parent's median,
-the change's median and the pairs the change won.  Stdlib only.
+won; per layer, the traced metrics of both trees; and per tree, what
+code was measured: the commit `git rev-parse HEAD` names when DIR is
+the top of a git checkout (else null) and a sha256 over its src/ files.
+For each workload and end-to-end metric it also prints one line to
+stderr: the parent's median, the change's median and the pairs the
+change won.  Stdlib only.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -32,6 +36,28 @@ def run(tree, workload, seed, seconds, trace):
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def provenance(tree):
+    """The commit a tree is checked out at, or None when it is not the
+    top of a git checkout, and a sha256 over its src/ files: each
+    file's path and bytes in sorted path order, caches left out."""
+    root = Path(tree).resolve()
+    commit = None
+    try:
+        git = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=root,
+                             capture_output=True, text=True)
+    except OSError:  # no git on this host
+        git = None
+    if git is not None and git.returncode == 0:
+        top, head = git.stdout.splitlines()
+        commit = head if Path(top).resolve() == root else None
+    digest = hashlib.sha256()
+    for path in sorted(p for p in (root / "src").rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return {"commit": commit, "src_sha256": digest.hexdigest()}
 
 
 def summary(values):
@@ -69,6 +95,7 @@ def main(argv=None):
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.python_implementation()} "
                    f"{platform.python_version()}",
         "pairs": args.pairs, "seconds": args.seconds, "seeds": [args.seed, args.seed + args.pairs - 1],
+        "trees": {side: provenance(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for name in names:
