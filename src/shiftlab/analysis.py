@@ -41,6 +41,7 @@ from .covers import (
     _essential_subsets,
     _half_sync_sofic,
     _nonempty_images,
+    resolve,
 )
 from .codes import (
     BlockCode,
@@ -673,25 +674,10 @@ def check_theorem_4_2(
     return TheoremReport("t42", status, facts, certificates)
 
 
-def _half_synchronizing(g, m, horizon) -> bool:
-    return _half_sync_sofic(g, m, horizon)[0].status == HOLDS
+_T33_HORIZONS = (4, 6, 8)
 
 
-def _system_half_synchronized(g, horizon, block_len):
-    return any(
-        _half_synchronizing(g, m, horizon)
-        for length in range(1, block_len + 1)
-        for m in iter_admissible_blocks(g, length)
-    )
-
-
-def check_theorem_3_3(
-    f: FactorMap,
-    horizons=(4, 6, 8),
-    word_bound: int = 8,
-    k_bound: int = 4,
-    block_len: int = 2,
-) -> TheoremReport:
+def check_theorem_3_3(f: FactorMap, word_bound: int = 8, k_bound: int = 4) -> TheoremReport:
     """Under a hyperbolic certificate, half-synchronized verdicts for
     domain and codomain must agree; additionally the certificate's
     first central block must itself be half-synchronizing on the
@@ -703,23 +689,29 @@ def check_theorem_3_3(
             INCONCLUSIVE,
             (("reason", "no hyperbolic certificate within bounds"),),
         )
-    dom = f.one_block.domain
+    dom = resolve(f.one_block.domain)
+    cod = resolve(f.codomain)
+
+    def holds(r, m, h):
+        return _half_sync_sofic(r, m, h)[0].status == HOLDS
+
+    def system_holds(r, h):  # some block of length 1 or 2 holds
+        blocks = (m for n in (1, 2) for m in iter_admissible_blocks(r.graph, n))
+        return any(holds(r, m, h) for m in blocks)
+
     facts = []
     disagreed = False
-    dom_hs = cod_hs = False
-    for h in horizons:
-        dom_hs = _system_half_synchronized(dom, h, block_len)
-        cod_hs = _system_half_synchronized(f.codomain, h, block_len)
+    for h in _T33_HORIZONS:
+        dom_hs = system_holds(dom, h)
+        cod_hs = system_holds(cod, h)
         facts.append((f"domain-half-sync-h{h}", "yes" if dom_hs else "no"))
         facts.append((f"codomain-half-sync-h{h}", "yes" if cod_hs else "no"))
-        if dom_hs != cod_hs:
-            disagreed = True
-    top = max(horizons)
-    if _half_synchronizing(f.codomain, cert.word, top):
-        proof_ok = _half_synchronizing(dom, cert.central_blocks[0], top)
+        disagreed |= dom_hs != cod_hs
+    top = max(_T33_HORIZONS)
+    if holds(cod, cert.word, top):
+        proof_ok = holds(dom, cert.central_blocks[0], top)
         facts.append(("construction-block-half-sync", "yes" if proof_ok else "no"))
-        if not proof_ok:
-            disagreed = True
+        disagreed |= not proof_ok
     if disagreed:
         status = DISAGREE
     else:

@@ -23,6 +23,8 @@ Marcus 3.3).  Dominance: m holds exactly iff some such v has F(u) in
 F(v) for every such u.  Refutation: otherwise each v has a least word
 that m, but not the ray at v, can be followed by, and m is refuted iff
 all of them are within the horizon; else it holds at the horizon only.
+`resolve` builds P and its follower inclusion once per decision;
+`check t33` resolves each side once.
 
 A holding verdict carries the length of a transitive-ray prefix, a word
 ending in m that contains every admissible block of length
@@ -381,27 +383,40 @@ def _follower_inclusion(p: LabeledGraph) -> set:
     return rel
 
 
-def _half_sync_sofic(g: LabeledGraph, m: Block, horizon: int):
-    """The sofic decision (see the module docstring) on the essential,
-    irreducible g: (verdict without prefix, P, ends), where ends are the
-    vertices of P whose rays agree with m, exactly or to the horizon.
-    A refutation is the length-lex greatest least separating word."""
+@dataclass(frozen=True)
+class Resolved:
+    """P, its subset stepper, and the pairs (u, v) with F(u) in F(v)."""
+    graph: LabeledGraph
+    stepper: Stepper
+    inclusion: frozenset
+
+
+def resolve(g: LabeledGraph) -> Resolved:
+    """P for the essential, irreducible g: g itself when right-resolving,
+    else its Fischer cover."""
     if not is_irreducible(g):
         raise NotIrreducibleError("half-synchronization needs an irreducible presentation")
     p = g if is_right_resolving(g) else fischer_cover(g)
-    st = graph_stepper(p)
+    return Resolved(p, graph_stepper(p), frozenset(_follower_inclusion(p)))
+
+
+def _half_sync_sofic(r: Resolved, m: Block, horizon: int):
+    """The sofic decision (see the module docstring) on r: (verdict
+    without prefix, ends), where ends are the vertices of P whose rays
+    agree with m, exactly or to the horizon.  A refutation is the
+    length-lex greatest least separating word."""
+    p, st = r.graph, r.stepper
     after_m = st.at(walk(st, m))
     image = mask_vertices(p, after_m.start)
-    rel = _follower_inclusion(p)
-    ends = {v for v in image if all((u, v) in rel for u in image)}
+    ends = {v for v in image if all((u, v) in r.inclusion for u in image)}
     if ends:
-        return HalfSyncVerdict(HOLDS, m, horizon, exact=True), p, ends
+        return HalfSyncVerdict(HOLDS, m, horizon, exact=True), ends
     sep = {v: first_divergence(after_m, st.at(vertex_mask(p, [v])), horizon) for v in image}
     ends = {v for v, d in sep.items() if d is None}
     if ends:
-        return HalfSyncVerdict(HOLDS, m, horizon), p, ends
-    worst = max(sep.values(), key=g.alphabet.block_key)
-    return HalfSyncVerdict(REFUTED, m, horizon, refutation=worst), p, ends
+        return HalfSyncVerdict(HOLDS, m, horizon), ends
+    worst = max(sep.values(), key=p.alphabet.block_key)
+    return HalfSyncVerdict(REFUTED, m, horizon, refutation=worst), ends
 
 
 def _ray_parts(p: LabeledGraph, m: Block, depth: int, ends):
@@ -430,12 +445,6 @@ def _ray_parts(p: LabeledGraph, m: Block, depth: int, ends):
     end_mask = vertex_mask(p, ends)
     f = next(w for w, x in bfs(t, st.moves) if (walk(st.at(x), m) or 0) & end_mask)
     return unit, reps, f
-
-
-def _ray_prefix(p: LabeledGraph, m: Block, depth: int, ends) -> int:
-    """The length of the word `_ray_parts` spells, without spelling it."""
-    unit, reps, f = _ray_parts(p, m, depth, ends)
-    return len(unit) * reps + len(f) + len(m)
 
 
 def _dyck_counts(r: int, n: int):
@@ -481,10 +490,9 @@ def _dyck_prefix(o, m, depth) -> Block:
     return tuple(itertools.chain.from_iterable(parts))
 
 
-def _half_sync_code(o, m, horizon):
-    """(verdict, prefix): the window-based code-list decision, which
-    compares m with the one prefix it constructs."""
-    depth = min(horizon, o.horizon_budget)
+def _half_sync_code(o, m, horizon, depth):
+    """(verdict, prefix or None when refuted): the window-based code-list
+    decision, which compares m with the one prefix it constructs."""
     blocks = list(oracle_blocks(o, depth)) or [()]
     parts = []
     for b in blocks:
@@ -500,8 +508,31 @@ def _half_sync_code(o, m, horizon):
         raise InvariantError(f"the constructed prefix of {format_block(m)} is not admissible")
     delta = first_divergence(o.stepper.at(a), o.stepper.at(b), horizon)
     if delta is not None:
-        return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta), prefix
+        return HalfSyncVerdict(REFUTED, m, horizon, refutation=delta), None
     return HalfSyncVerdict(HOLDS, m, horizon, prefix_length=len(prefix), exact=False), prefix
+
+
+def _half_sync(o: ShiftOracle, m: Block, horizon: int):
+    """(verdict, spell): the decision on any oracle kind, and a function
+    that builds its prefix, or returns None when m is refuted."""
+    if not _admissible_unbounded(o, m):
+        raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
+    depth = min(horizon, o.horizon_budget)
+    if o.kind == DYCK:
+        n, total_depth = _dyck_counts(len(o.pairs), depth)
+        length = n * depth + total_depth + len(m)
+        verdict = HalfSyncVerdict(HOLDS, m, horizon, prefix_length=length, exact=True)
+        return verdict, lambda: _dyck_prefix(o, m, depth)
+    if o.kind != SOFIC:
+        verdict, prefix = _half_sync_code(o, m, horizon, depth)
+        return verdict, lambda: prefix
+    r = resolve(o.graph)
+    verdict, ends = _half_sync_sofic(r, m, horizon)
+    if verdict.status == REFUTED:
+        return verdict, lambda: None
+    unit, reps, f = _ray_parts(r.graph, m, depth, ends)
+    length = len(unit) * reps + len(f) + len(m)
+    return replace(verdict, prefix_length=length), lambda: unit * reps + f + m
 
 
 def is_half_synchronizing(o: ShiftOracle, m: Block, horizon: int) -> HalfSyncVerdict:
@@ -519,19 +550,7 @@ def is_half_synchronizing(o: ShiftOracle, m: Block, horizon: int) -> HalfSyncVer
     transitive-ray prefix, the word `ray_prefix` builds on demand: on
     Dyck oracles it is counted by `_dyck_counts`, no block enumerated.
     """
-    if not _admissible_unbounded(o, m):
-        raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
-    depth = min(horizon, o.horizon_budget)
-    if o.kind == DYCK:
-        n, total_depth = _dyck_counts(len(o.pairs), depth)
-        length = n * depth + total_depth + len(m)
-        return HalfSyncVerdict(HOLDS, m, horizon, prefix_length=length, exact=True)
-    if o.kind != SOFIC:
-        return _half_sync_code(o, m, horizon)[0]
-    verdict, p, ends = _half_sync_sofic(o.graph, m, horizon)
-    if verdict.status == REFUTED:
-        return verdict
-    return replace(verdict, prefix_length=_ray_prefix(p, m, depth, ends))
+    return _half_sync(o, m, horizon)[0]
 
 
 def ray_prefix(o: ShiftOracle, m: Block, horizon: int) -> Optional[Block]:
@@ -542,16 +561,4 @@ def ray_prefix(o: ShiftOracle, m: Block, horizon: int) -> Optional[Block]:
     and, read as a word, is followed by what m is (at every length when
     the verdict is exact, else up to the horizon).
     """
-    if not _admissible_unbounded(o, m):
-        raise InadmissibleBlockError(f"inadmissible block {format_block(m)}")
-    depth = min(horizon, o.horizon_budget)
-    if o.kind == DYCK:
-        return _dyck_prefix(o, m, depth)
-    if o.kind != SOFIC:
-        verdict, prefix = _half_sync_code(o, m, horizon)
-        return prefix if verdict.status == HOLDS else None
-    verdict, p, ends = _half_sync_sofic(o.graph, m, horizon)
-    if verdict.status == REFUTED:
-        return None
-    unit, reps, f = _ray_parts(p, m, depth, ends)
-    return unit * reps + f + m
+    return _half_sync(o, m, horizon)[1]()

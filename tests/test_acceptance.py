@@ -4,7 +4,8 @@ import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
-from shiftlab import acceptance
+from shiftlab import acceptance, analysis
+from shiftlab.cli import main
 from shiftlab.codes import BlockCode
 from shiftlab.oracle import ShiftOracle
 
@@ -117,3 +118,25 @@ def test_bracket_reduction_matches_the_dyck_counts():
     assert [len(words) for words in levels] == [4, 14, 48, 160]
     assert levels[3][(")", "(", "[", "]")] == ("(",)
     assert ("(", "]") not in levels[1]
+
+
+def test_criterion_7_searches_each_certificate_once(monkeypatch):
+    calls = Counter()
+    for mod in (acceptance, analysis):
+        search = mod.find_hyperbolic_certificate
+        monkeypatch.setattr(mod, "find_hyperbolic_certificate",
+                            lambda *args, search=search: calls.update(["search"]) or search(*args))
+    assert acceptance.criterion_7()
+    # one search for each of the three corpus maps
+    assert calls == {"search": 3}
+
+
+def test_run_all_recomputes_criteria_once_to_check_the_printed_rows(monkeypatch, capsys):
+    calls = Counter()
+    core_rows = acceptance._core_rows
+    monkeypatch.setattr(acceptance, "_core_rows", lambda: calls.update(["pass"]) or core_rows())
+    assert main(["corpus", "run-all"]) == 0
+    out = capsys.readouterr().out
+    assert "criterion 10 pass determinism\n" in out and "all-pass yes\n" in out
+    # the printed pass and one fresh pass
+    assert calls == {"pass": 2}

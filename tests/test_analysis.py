@@ -25,6 +25,7 @@ from shiftlab.analysis import (
     right_closing_ae,
     verify_decoder_block,
 )
+from shiftlab.cli import main
 from shiftlab.codes import (
     BlockCode,
     FactorMap,
@@ -554,7 +555,8 @@ def _xor_of(k, g):
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_theorem_3_3_builds_no_ray_prefix(graphs, monkeypatch, k):
     built = []
-    monkeypatch.setattr(covers, "_ray_prefix", lambda *args: built.append(args))
+    ray_parts = covers._ray_parts
+    monkeypatch.setattr(covers, "_ray_parts", lambda *args: built.append(args) or ray_parts(*args))
     rep = check_theorem_3_3(_xor_of(k, graphs["full2"]))
     assert rep.status == AGREE_POSITIVE
     assert dict(rep.facts)["construction-block-half-sync"] == "yes"
@@ -562,6 +564,15 @@ def test_theorem_3_3_builds_no_ray_prefix(graphs, monkeypatch, k):
     # the counter sees the prefix a holding verdict of the CLI builds
     covers.is_half_synchronizing(sofic_oracle(graphs["full2"]), ("0",), 4)
     assert len(built) == 1
+
+
+def test_theorem_3_3_builds_each_follower_inclusion_once_per_side(monkeypatch, capsys):
+    built = []
+    inclusion = covers._follower_inclusion
+    monkeypatch.setattr(covers, "_follower_inclusion", lambda p: built.append(p) or inclusion(p))
+    assert main(["check", "t33", "evenmap.code"]) == 0
+    assert "status agree-positive\n" in capsys.readouterr().out
+    assert 0 < len(built) <= 2
 
 
 def test_theorem_3_3_report_lines(maps):

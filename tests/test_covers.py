@@ -485,7 +485,9 @@ def _out_split(g):
 def test_half_sync_dominance_property(g, data):
     m = data.draw(st.sampled_from(blocks_of_length(g, 1) + blocks_of_length(g, 2)))
     h = data.draw(st.integers(1, 4))
-    v, p, ends = covers._half_sync_sofic(g, m, h)
+    r = covers.resolve(g)
+    v, ends = covers._half_sync_sofic(r, m, h)
+    p = r.graph
     image = image_set(p, m)
 
     def agrees(x, n):
@@ -509,5 +511,5 @@ def test_half_sync_dominance_property(g, data):
         assert followers_equal(g, prefix, m, 6 if v.exact else h)
     # the verdict belongs to the shift, not to its presentation
     for other in (fischer_cover(g), _out_split(g)):
-        w = covers._half_sync_sofic(other, m, h)[0]
+        w = covers._half_sync_sofic(covers.resolve(other), m, h)[0]
         assert (w.status, w.exact, w.refutation) == (v.status, v.exact, v.refutation)
